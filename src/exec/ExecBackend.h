@@ -36,10 +36,11 @@
 ///    subprocesses fed serialized job descriptors; a VM crash or a
 ///    runaway timeout kills one worker, is recorded as that job's
 ///    outcome, and the campaign keeps going.
-///  * RemoteBackend (exec/RemoteBackend.h) — the same job descriptors
-///    framed over TCP (exec/WireProtocol.h) to `clfuzz worker`
-///    processes on any number of machines; worker death requeues its
-///    in-flight jobs and results reassemble by submission index.
+///  * RemoteBackend (exec/RemoteBackend.h) — the same column
+///    descriptors framed over TCP (exec/WireProtocol.h) to `clfuzz
+///    worker` processes on any number of machines; worker death
+///    requeues its unanswered cells and results reassemble by
+///    submission index.
 ///
 /// When ExecOptions::Cache is set, makeBackend() wraps the chosen
 /// implementation in the content-addressed outcome cache
@@ -79,10 +80,9 @@ public:
   /// ExecColumn): the flattened outcome vector matches a run() over
   /// the flattened job list byte for byte. Backends that can keep a
   /// column on one worker override this to amortise the front end
-  /// across the column's cells; the default flattens and delegates to
-  /// run(), which is also what the caching wrapper does (cache keys
-  /// stay per-cell) and what the remote backend inherits (its wire
-  /// protocol stays per-job).
+  /// across the column's cells (threads, procs and remote all do); the
+  /// default flattens and delegates to run(). The caching wrapper keys
+  /// per cell and re-columns its misses for the backend it wraps.
   virtual std::vector<RunOutcome>
   runColumns(const std::vector<ExecColumn> &Columns);
 

@@ -74,6 +74,14 @@ double WireReader::f64() {
   return V;
 }
 
+uint32_t WireReader::count(size_t MinElemSize) {
+  uint32_t N = u32();
+  if (static_cast<uint64_t>(N) * MinElemSize >
+      static_cast<uint64_t>(End - P))
+    throw std::runtime_error("element count exceeds the frame");
+  return N;
+}
+
 std::string WireReader::str() {
   uint32_t N = u32();
   need(N);
@@ -187,7 +195,7 @@ DeviceConfig readConfig(WireReader &R) {
   C.BugsO2 = readBugModel(R);
   C.NoOptimizer = R.u8();
   C.Salt = R.u64();
-  uint32_t NumIce = R.u32();
+  uint32_t NumIce = R.count(4); // each a u32-prefixed string
   C.IceMessages.reserve(NumIce);
   for (uint32_t I = 0; I != NumIce; ++I)
     C.IceMessages.push_back(R.str());
@@ -219,7 +227,8 @@ TestCase readTest(WireReader &R) {
     T.Range.Global[D] = R.u32();
   for (int D = 0; D != 3; ++D)
     T.Range.Local[D] = R.u32();
-  uint32_t NumBuffers = R.u32();
+  // Space + InitBytes length + two flags.
+  uint32_t NumBuffers = R.count(7);
   T.Buffers.reserve(NumBuffers);
   for (uint32_t I = 0; I != NumBuffers; ++I) {
     BufferSpec B;
@@ -231,6 +240,9 @@ TestCase readTest(WireReader &R) {
   }
   return T;
 }
+
+/// Bytes writeSettings emits.
+constexpr size_t SettingsWireSize = 8 + 8 + 1 + 1 + 1 + 4 + 8;
 
 void writeSettings(WireWriter &W, const RunSettings &S) {
   W.u64(S.BaseStepBudget);
@@ -313,7 +325,10 @@ void clfuzz::serializeExecColumn(WireWriter &W, const ExecColumn &Column) {
 OwnedExecColumn clfuzz::deserializeExecColumn(WireReader &R) {
   OwnedExecColumn Col;
   Col.Test = readTest(R);
-  uint32_t N = R.u32();
+  // Config flag + opt flag + the fixed-size settings record.
+  uint32_t N = R.count(2 + SettingsWireSize);
+  if (N == 0)
+    throw std::runtime_error("empty column");
   Col.Cells.reserve(N);
   for (uint32_t I = 0; I != N; ++I) {
     OwnedExecColumn::Cell C;
@@ -355,7 +370,7 @@ RunOutcome clfuzz::deserializeRunOutcome(WireReader &R) {
   O.Status = static_cast<RunStatus>(R.u8());
   O.Message = R.str();
   O.OutputHash = R.u64();
-  uint32_t HeadLen = R.u32();
+  uint32_t HeadLen = R.count(8);
   O.OutputHead.reserve(HeadLen);
   for (uint32_t I = 0; I != HeadLen; ++I)
     O.OutputHead.push_back(R.u64());

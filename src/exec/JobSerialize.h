@@ -65,6 +65,11 @@ public:
   double f64();
   std::string str();
   std::vector<uint8_t> bytes();
+  /// An element count: a u32 that must fit the unread bytes at
+  /// \p MinElemSize bytes per element, or the frame is rejected before
+  /// the caller reserves anything. A network peer controls the count,
+  /// so an unchecked one is a multi-gigabyte allocation on demand.
+  uint32_t count(size_t MinElemSize);
   bool atEnd() const { return P == End; }
 
 private:

@@ -109,6 +109,30 @@ constexpr uint8_t ColumnFrameTag = 1;
   }
 }
 
+/// Closes the fds in [Lo, Hi]. On Linux this is one close_range call,
+/// so a fork costs the same whatever the fd limit; elsewhere (and on
+/// kernels before 5.9) it falls back to one close per possible fd.
+void closeFdRange(unsigned Lo, unsigned Hi) {
+#ifdef __linux__
+  if (::close_range(Lo, Hi, 0) == 0)
+    return;
+#endif
+  long Max = ::sysconf(_SC_OPEN_MAX);
+  for (unsigned Fd = Lo; Fd <= Hi && static_cast<long>(Fd) < Max; ++Fd)
+    ::close(static_cast<int>(Fd));
+}
+
+/// Closes every fd >= 3 except \p A and \p B (in a forked child).
+void closeAllFdsExcept(int A, int B) {
+  unsigned Start = 3;
+  for (int Keep : {std::min(A, B), std::max(A, B)}) {
+    if (static_cast<unsigned>(Keep) > Start)
+      closeFdRange(Start, static_cast<unsigned>(Keep) - 1);
+    Start = std::max(Start, static_cast<unsigned>(Keep) + 1);
+  }
+  closeFdRange(Start, ~0u);
+}
+
 class ProcessPoolBackend final : public ExecBackend {
 public:
   explicit ProcessPoolBackend(const ExecOptions &Opts)
@@ -179,17 +203,13 @@ bool ProcessPoolBackend::spawnWorker(Worker &W) {
     return false;
   }
   if (Pid == 0) {
-    // Child: keep only this worker's two pipe ends (including ends
-    // inherited from siblings forked earlier — closing them is what
-    // lets a sibling see EOF when the parent goes away).
-    ::close(ToChild[1]);
-    ::close(FromChild[0]);
-    for (const Worker &Other : Workers) {
-      if (Other.ToChild >= 0)
-        ::close(Other.ToChild);
-      if (Other.FromChild >= 0)
-        ::close(Other.FromChild);
-    }
+    // Child: keep only this worker's two pipe ends. Every other fd
+    // goes — not just this pool's sibling pipes: another pool forking
+    // on another thread (a WorkerServer runs one pool per slot) may
+    // have its child-side ends open right now, and a child holding
+    // another pool's write end hides that pool's crashed child from
+    // its parent forever (no EOF).
+    closeAllFdsExcept(ToChild[0], FromChild[1]);
     workerMain(ToChild[0], FromChild[1]);
   }
   ::close(ToChild[0]);

@@ -106,8 +106,14 @@ public:
   }
 
   std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) override;
+  std::vector<RunOutcome>
+  runColumns(const std::vector<ExecColumn> &Columns) override;
 
 private:
+  /// (first index, cell count) spans over a flattened job vector, one
+  /// per job frame.
+  using FrameSpans = std::vector<std::pair<size_t, size_t>>;
+
   struct Link {
     std::string Host;
     unsigned Port = 0;
@@ -122,11 +128,18 @@ private:
     /// finish, dispatch nothing new, then close gracefully.
     bool Draining = false;
     /// Slot count from the hello-ack; the in-flight window is twice
-    /// this (one round trip of pipelining).
+    /// this many frames (one round trip of pipelining).
     unsigned Advertised = 1;
-    /// Tag (== submission index) -> dispatch deadline
-    /// (time_point::max() when no deadline is armed).
-    std::map<uint64_t, Clock::time_point> InFlight;
+    struct CellInFlight {
+      /// time_point::max() when no deadline is armed.
+      Clock::time_point Deadline;
+      /// Base tag of the job frame that carried the cell.
+      uint64_t Frame;
+    };
+    /// Tag (== submission index) -> the cell's dispatch state.
+    std::map<uint64_t, CellInFlight> InFlight;
+    /// Base tag -> cells of that frame still unanswered.
+    std::map<uint64_t, size_t> Frames;
     Clock::time_point LastRecv{};
     bool PingOutstanding = false;
     Clock::time_point PingSent{};
@@ -140,10 +153,13 @@ private:
     /// The endpoint has answered a handshake at least once — later
     /// dials are *re*dials and count as fleet_redials.
     bool EverConnected = false;
+    /// Why the last dial failed; named in the no-reachable-worker
+    /// error so a version-mismatched fleet is told apart from a down one.
+    std::string DialError;
 
     bool alive() const { return Fd >= 0; }
     bool busy() const { return alive() && !InFlight.empty(); }
-    size_t window() const { return size_t(Advertised) * 2; }
+    bool windowFull() const { return Frames.size() >= size_t(Advertised) * 2; }
     std::string name() const {
       return Dynamic ? Peer : Host + ":" + std::to_string(Port);
     }
@@ -163,6 +179,10 @@ private:
   void ensureLinks(bool Require);
   bool adoptJoined();
   void dropLink(Link &L);
+  /// The dispatch/poll loop behind run() and runColumns(): each span
+  /// travels as one job frame, a retry always as a one-cell frame.
+  std::vector<RunOutcome> execute(const std::vector<ExecJob> &Jobs,
+                                  const FrameSpans &Spans);
 
   std::vector<Link> Links;
   unsigned TimeoutMs;
@@ -198,24 +218,34 @@ bool RemoteBackendImpl::dialLink(Link &L, bool IgnorePark) {
   if (L.EverConnected)
     noteFleetRedial();
   int Fd = wire::connectTcp(L.Host, L.Port, ConnectTimeoutMs);
-  bool Ok = Fd >= 0;
-  if (Ok) {
+  const char *Err = Fd < 0 ? "connect failed" : nullptr;
+  if (!Err) {
     wire::setRecvTimeout(Fd, HandshakeTimeoutMs);
-    Ok = wire::writeFrame(Fd, wire::FrameType::Hello,
-                          wire::encodeHello(wire::CacheGeneration));
+    if (!wire::writeFrame(Fd, wire::FrameType::Hello,
+                          wire::encodeHello(wire::CacheGeneration)))
+      Err = "hello not sent";
   }
   wire::Frame F;
-  if (Ok)
-    Ok = wire::readFrame(Fd, F) == wire::ReadStatus::Ok &&
-         F.Type == wire::FrameType::HelloAck;
-  if (Ok) {
+  std::string Why;
+  if (!Err) {
+    wire::ReadStatus RS = wire::readFrame(Fd, F, &Why);
+    if (RS == wire::ReadStatus::Eof)
+      Err = "closed during the handshake";
+    else if (RS == wire::ReadStatus::Malformed)
+      Err = Why == "version mismatch" ? "protocol version mismatch"
+                                      : "garbage handshake";
+    else if (F.Type != wire::FrameType::HelloAck)
+      Err = "no hello-ack";
+  }
+  if (!Err) {
     try {
       L.Advertised = std::max(wire::decodeHelloAck(F), 1u);
     } catch (const std::exception &) {
-      Ok = false;
+      Err = "malformed hello-ack";
     }
   }
-  if (!Ok) {
+  if (Err) {
+    L.DialError = Err;
     if (Fd >= 0)
       ::close(Fd);
     L.NextDialAfter =
@@ -225,12 +255,14 @@ bool RemoteBackendImpl::dialLink(Link &L, bool IgnorePark) {
   armSteadyTimeout(Fd);
   L.Fd = Fd;
   L.InFlight.clear();
+  L.Frames.clear();
   L.LastRecv = Clock::now();
   L.PingOutstanding = false;
   L.Draining = false;
   L.NextDialAfter = {};
   L.Dial.reset();
   L.EverConnected = true;
+  L.DialError.clear();
   return true;
 }
 
@@ -239,6 +271,7 @@ void RemoteBackendImpl::dropLink(Link &L) {
     ::close(L.Fd);
   L.Fd = -1;
   L.InFlight.clear();
+  L.Frames.clear();
   L.PingOutstanding = false;
   L.Draining = false;
 }
@@ -302,7 +335,8 @@ void RemoteBackendImpl::ensureLinks(bool Require) {
   }
   std::string Tried;
   for (const Link &L : Links)
-    Tried += (Tried.empty() ? "" : ", ") + L.name();
+    Tried += (Tried.empty() ? "" : ", ") + L.name() +
+             (L.DialError.empty() ? "" : ": " + L.DialError);
   if (Fleet)
     Tried += (Tried.empty() ? "" : "; ") + std::string("fleet registry :") +
              std::to_string(Fleet->port()) + " with no joined worker";
@@ -312,6 +346,44 @@ void RemoteBackendImpl::ensureLinks(bool Require) {
 
 std::vector<RunOutcome>
 RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
+  FrameSpans Spans;
+  Spans.reserve(Jobs.size());
+  for (size_t I = 0; I != Jobs.size(); ++I)
+    Spans.emplace_back(I, 1);
+  return execute(Jobs, Spans);
+}
+
+std::vector<RunOutcome>
+RemoteBackendImpl::runColumns(const std::vector<ExecColumn> &Columns) {
+  // One frame per column, except:
+  //  * a deadline is armed per cell at dispatch, so with one set every
+  //    cell travels alone and the deadline (and its Timeout message)
+  //    means exactly what it did for a per-job frame — the same rule
+  //    the process pool applies;
+  //  * a frame occupies one worker slot, so a batch with fewer columns
+  //    than the fleet has slots splits each column into consecutive
+  //    pieces (a one-kernel diff still runs on every slot; each piece
+  //    pays its own parse).
+  size_t Pieces = 1;
+  if (!Columns.empty())
+    Pieces = (concurrency() + Columns.size() - 1) / Columns.size();
+  std::vector<ExecJob> Flat;
+  FrameSpans Spans;
+  for (const ExecColumn &Col : Columns) {
+    size_t N = Col.Jobs.size();
+    size_t P = TimeoutMs ? N : std::min(Pieces, N);
+    for (size_t K = 0; K != P; ++K) {
+      size_t Begin = N * K / P, End = N * (K + 1) / P;
+      Spans.emplace_back(Flat.size() + Begin, End - Begin);
+    }
+    Flat.insert(Flat.end(), Col.Jobs.begin(), Col.Jobs.end());
+  }
+  return execute(Flat, Spans);
+}
+
+std::vector<RunOutcome>
+RemoteBackendImpl::execute(const std::vector<ExecJob> &Jobs,
+                           const FrameSpans &Spans) {
   std::vector<RunOutcome> Results(Jobs.size());
   if (Jobs.empty())
     return Results;
@@ -319,7 +391,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
   adoptJoined();
   ensureLinks(/*Require=*/true);
 
-  size_t NextJob = 0, Done = 0;
+  size_t NextSpan = 0, Done = 0;
   std::vector<uint8_t> FailCount(Jobs.size(), 0);
   std::deque<size_t> RetryQueue;
 
@@ -361,7 +433,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
   auto DropAndRequeue = [&](Link &L, const std::string &How,
                             const char *Slug, uint64_t DeadlineTag,
                             bool HasDeadlineTag) {
-    std::map<uint64_t, Clock::time_point> Lost = std::move(L.InFlight);
+    std::map<uint64_t, Link::CellInFlight> Lost = std::move(L.InFlight);
     logFleetDrop("coordinator", L.name(), Slug);
     noteFleetEviction();
     dropLink(L);
@@ -370,32 +442,45 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
                     HasDeadlineTag && Entry.first == DeadlineTag);
   };
 
+  // Each frame goes to the link with the fewest frames in flight per
+  // advertised slot (ties to the earlier link): a whole column keeps a
+  // slot busy for a while, so filling one link's window while another
+  // idles would serialise a shard. A retry travels alone, like the
+  // process pool's: a cell that keeps killing workers then poisons
+  // nothing but itself.
   auto Dispatch = [&] {
-    for (Link &L : Links) {
-      if (!L.alive() || L.Draining)
-        continue;
-      while (L.InFlight.size() < L.window()) {
-        size_t Index;
-        if (!RetryQueue.empty()) {
-          Index = RetryQueue.front();
-          RetryQueue.pop_front();
-        } else if (NextJob < Jobs.size()) {
-          Index = NextJob++;
-        } else {
-          break;
-        }
-        if (!wire::writeFrame(L.Fd, wire::FrameType::Job,
-                              wire::encodeJob(Index, Jobs[Index]))) {
-          // Died under the write: this job plus the window requeue.
-          L.InFlight.emplace(Index, Clock::time_point::max());
-          DropAndRequeue(L, "send failed", "send-failed", 0, false);
-          break;
-        }
-        L.InFlight.emplace(
-            Index, TimeoutMs ? Clock::now() + std::chrono::milliseconds(
-                                                  TimeoutMs)
-                             : Clock::time_point::max());
+    for (;;) {
+      Link *To = nullptr;
+      for (Link &L : Links)
+        if (L.alive() && !L.Draining && !L.windowFull() &&
+            (!To || L.Frames.size() * To->Advertised <
+                        To->Frames.size() * L.Advertised))
+          To = &L;
+      if (!To)
+        return;
+      std::pair<size_t, size_t> Span;
+      if (!RetryQueue.empty()) {
+        Span = {RetryQueue.front(), 1};
+        RetryQueue.pop_front();
+      } else if (NextSpan < Spans.size()) {
+        Span = Spans[NextSpan++];
+      } else {
+        return;
       }
+      ExecColumn Col;
+      Col.Jobs.assign(Jobs.begin() + Span.first,
+                      Jobs.begin() + Span.first + Span.second);
+      auto Deadline = TimeoutMs ? Clock::now() +
+                                      std::chrono::milliseconds(TimeoutMs)
+                                : Clock::time_point::max();
+      for (size_t K = 0; K != Span.second; ++K)
+        To->InFlight.emplace(Span.first + K,
+                             Link::CellInFlight{Deadline, Span.first});
+      To->Frames.emplace(Span.first, Span.second);
+      if (!wire::writeFrame(To->Fd, wire::FrameType::Job,
+                            wire::encodeJob(Span.first, Col)))
+        // Died under the write: this frame plus the window requeue.
+        DropAndRequeue(*To, "send failed", "send-failed", 0, false);
     }
   };
 
@@ -441,7 +526,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
         continue;
       if (TimeoutMs)
         for (const auto &Entry : L->InFlight)
-          Earliest = std::min(Earliest, Entry.second);
+          Earliest = std::min(Earliest, Entry.second.Deadline);
       if (HeartbeatMs) {
         auto Hb = (L->PingOutstanding ? L->PingSent : L->LastRecv) +
                   std::chrono::milliseconds(HeartbeatMs);
@@ -490,6 +575,9 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
           if (It != L.InFlight.end()) {
             Results[static_cast<size_t>(D.Tag)] = std::move(D.Outcome);
             ++Done;
+            auto Frame = L.Frames.find(It->second.Frame);
+            if (--Frame->second == 0)
+              L.Frames.erase(Frame);
             L.InFlight.erase(It);
           }
           L.LastRecv = Clock::now();
@@ -523,7 +611,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
         uint64_t Expired = 0;
         bool HasExpired = false;
         for (const auto &Entry : L.InFlight)
-          if (Entry.second <= Now) {
+          if (Entry.second.Deadline <= Now) {
             Expired = Entry.first;
             HasExpired = true;
             break;

@@ -15,26 +15,35 @@
 /// pool, so crossing a machine boundary changes scheduling and
 /// failure handling, never results.
 ///
-/// Scheduling: each worker advertises its slot count in the
-/// handshake; the coordinator keeps an in-flight window of twice that
-/// many jobs per connection (enough to hide one round trip, small
-/// enough that a dying worker strands little). Outcomes arrive tagged
-/// with their submission index, in whatever order workers finish, and
-/// reassemble into Results[I] == outcome of Jobs[I] — the pipeline's
-/// bit-identity contract survives the network because job descriptors
-/// are pure (exec/JobSerialize.h) and reassembly is index-keyed, so
-/// `--backend=remote` output is byte-identical to `--backend=inline`
-/// at any worker count.
+/// Scheduling: runColumns() sends each campaign column as one job
+/// frame — the kernel crosses the wire once, and the worker's slot
+/// parses it once and clones per cell (exec/ExecutionEngine.h's
+/// runExecColumn) — while run() sends every job as a one-cell column.
+/// A batch with fewer columns than the fleet has slots splits its
+/// columns into consecutive pieces so every slot gets a frame. Each
+/// worker advertises its slot count in the handshake; the coordinator
+/// keeps an in-flight window of twice that many frames per connection
+/// (enough to hide one round trip, small enough that a dying worker
+/// strands little) and sends each frame to the least-loaded link. Everything else is per cell: the
+/// worker answers every cell with its own outcome frame, tagged with
+/// the cell's submission index, in whatever order its slots finish,
+/// and results reassemble into Results[I] == outcome of Jobs[I] — the
+/// pipeline's bit-identity contract survives the network because job
+/// descriptors are pure (exec/JobSerialize.h) and reassembly is
+/// index-keyed, so `--backend=remote` output is byte-identical to
+/// `--backend=inline` at any worker count.
 ///
 /// Failure handling mirrors the process pool, one level up:
 ///
 ///  * a worker that dies (EOF, reset, garbage frame) has its
-///    in-flight jobs requeued onto the surviving workers; a job
-///    whose worker dies twice is recorded as that job's Crash
-///    outcome, never silently dropped;
-///  * ExecOptions::RemoteTimeoutMs arms a per-job deadline at
-///    dispatch; a worker that blows it is disconnected and the job
-///    requeued (second expiry = Timeout outcome);
+///    unanswered cells requeued onto the surviving workers, each as a
+///    one-cell frame; a cell whose worker dies twice is recorded as
+///    that cell's Crash outcome, never silently dropped;
+///  * ExecOptions::RemoteTimeoutMs arms a per-cell deadline at
+///    dispatch; a worker that blows it is disconnected and the cell
+///    requeued (second expiry = Timeout outcome). With a deadline set,
+///    every cell travels as a one-cell frame, so the deadline covers
+///    exactly one cell, as it did before columns crossed the wire;
 ///  * a busy worker that goes quiet is probed with heartbeat frames
 ///    (ExecOptions::RemoteHeartbeatMs); a missed probe counts as
 ///    worker death — this is how a wedged-but-connected worker is

@@ -79,19 +79,19 @@ uint32_t clfuzz::wire::decodeHelloAck(const Frame &F) {
   return Concurrency;
 }
 
-std::vector<uint8_t> clfuzz::wire::encodeJob(uint64_t Tag,
-                                             const ExecJob &Job) {
+std::vector<uint8_t> clfuzz::wire::encodeJob(uint64_t BaseTag,
+                                             const ExecColumn &Column) {
   WireWriter W;
-  W.u64(Tag);
-  serializeExecJob(W, Job);
+  W.u64(BaseTag);
+  serializeExecColumn(W, Column);
   return W.buffer();
 }
 
 DecodedJob clfuzz::wire::decodeJob(const Frame &F) {
   WireReader R(F.Payload.data(), F.Payload.size());
   DecodedJob D;
-  D.Tag = R.u64();
-  D.Job = deserializeExecJob(R);
+  D.BaseTag = R.u64();
+  D.Column = deserializeExecColumn(R);
   if (!R.atEnd())
     throw std::runtime_error("trailing bytes in job frame");
   return D;
@@ -166,6 +166,19 @@ DecodedJoinAck clfuzz::wire::decodeJoinAck(const Frame &F) {
 }
 
 std::vector<uint8_t> clfuzz::wire::encodeLeave() { return {}; }
+
+void clfuzz::wire::appendFrame(std::vector<uint8_t> &Out, FrameType Type,
+                               const std::vector<uint8_t> &Payload) {
+  WireWriter W;
+  W.u32(FrameMagic);
+  W.u8(ProtocolVersion);
+  W.u8(static_cast<uint8_t>(Type));
+  W.u8(0);
+  W.u8(0);
+  W.u32(static_cast<uint32_t>(Payload.size()));
+  Out.insert(Out.end(), W.buffer().begin(), W.buffer().end());
+  Out.insert(Out.end(), Payload.begin(), Payload.end());
+}
 
 //===----------------------------------------------------------------------===//
 // Fd primitives and frame I/O (POSIX)
@@ -272,15 +285,8 @@ ReadStatus clfuzz::wire::readFrame(int Fd, Frame &Out, std::string *Why) {
 
 bool clfuzz::wire::writeFrame(int Fd, FrameType Type,
                               const std::vector<uint8_t> &Payload) {
-  WireWriter W;
-  W.u32(FrameMagic);
-  W.u8(ProtocolVersion);
-  W.u8(static_cast<uint8_t>(Type));
-  W.u8(0);
-  W.u8(0);
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  std::vector<uint8_t> Buf = W.buffer();
-  Buf.insert(Buf.end(), Payload.begin(), Payload.end());
+  std::vector<uint8_t> Buf;
+  appendFrame(Buf, Type, Payload);
   return writeFullNoSigpipe(Fd, Buf.data(), Buf.size());
 }
 

@@ -53,7 +53,10 @@ constexpr uint32_t FrameMagic = 0x5A464C43;
 /// (exec/FleetRegistry.h). The v2 flows are untouched — a
 /// statically-listed worker speaks exactly the v2 hello/hello-ack
 /// sequence, just with the new version byte.
-constexpr uint8_t ProtocolVersion = 3;
+/// v4: the job payload is a whole campaign column (base tag + the
+/// serializeExecColumn encoding) instead of one ExecJob, so a kernel
+/// crosses the wire and is parsed once per column, not once per cell.
+constexpr uint8_t ProtocolVersion = 4;
 
 /// The cache generation a coordinator announces in every hello: the
 /// outcome-cache format version (OutcomeCache::FormatVersion; the two
@@ -74,7 +77,7 @@ constexpr size_t FrameHeaderSize = 12;
 enum class FrameType : uint8_t {
   Hello = 1,        ///< coordinator -> worker, first frame on a connection
   HelloAck = 2,     ///< worker -> coordinator: accepts, advertises slots
-  Job = 3,          ///< coordinator -> worker: tag + ExecJob descriptor
+  Job = 3,          ///< coordinator -> worker: base tag + ExecColumn
   Outcome = 4,      ///< worker -> coordinator: tag + RunOutcome
   Heartbeat = 5,    ///< coordinator -> worker: liveness probe (nonce)
   HeartbeatAck = 6, ///< worker -> coordinator: echoes the nonce
@@ -133,6 +136,11 @@ bool writeFullNoSigpipe(int Fd, const void *Buf, size_t N);
 /// structured drop-reason logs the fleet layer emits.
 ReadStatus readFrame(int Fd, Frame &Out, std::string *Why = nullptr);
 
+/// Appends one frame (header + payload) to \p Out, so several frames
+/// can go out in one write.
+void appendFrame(std::vector<uint8_t> &Out, FrameType Type,
+                 const std::vector<uint8_t> &Payload);
+
 /// Writes one frame (header + payload) in a single writeFullNoSigpipe.
 /// False when the peer is gone.
 bool writeFrame(int Fd, FrameType Type, const std::vector<uint8_t> &Payload);
@@ -150,20 +158,24 @@ bool writeFrame(int Fd, FrameType Type, const std::vector<uint8_t> &Payload);
 std::vector<uint8_t> encodeHello(uint64_t CacheGen);
 uint64_t decodeHello(const Frame &F);
 
-/// HelloAck: u32 concurrency — the number of jobs the worker is
-/// willing to run at once on this connection. The coordinator sizes
-/// its in-flight window from it.
+/// HelloAck: u32 concurrency — the number of job frames the worker is
+/// willing to run at once on this connection (its executor slots). The
+/// coordinator sizes its in-flight window from it.
 std::vector<uint8_t> encodeHelloAck(uint32_t Concurrency);
 uint32_t decodeHelloAck(const Frame &F);
 
-/// Job: u64 tag + serialized ExecJob. The tag is opaque to the worker
-/// and echoed verbatim on the outcome; the coordinator uses the job's
-/// submission index, which is how results reassemble in submission
-/// order whatever the completion order across workers.
-std::vector<uint8_t> encodeJob(uint64_t Tag, const ExecJob &Job);
+/// Job: u64 base tag + serialized ExecColumn (serializeExecColumn:
+/// the test case once, then one config, opt flag and settings record
+/// per cell).
+/// Cell K of the column is answered by one outcome frame tagged
+/// BaseTag + K. Tags are opaque to the worker; the coordinator uses
+/// submission indices (a column's cells are consecutive), which is how
+/// results reassemble in submission order whatever the completion
+/// order across workers. A single job travels as a one-cell column.
+std::vector<uint8_t> encodeJob(uint64_t BaseTag, const ExecColumn &Column);
 struct DecodedJob {
-  uint64_t Tag = 0;
-  OwnedExecJob Job;
+  uint64_t BaseTag = 0;
+  OwnedExecColumn Column;
 };
 DecodedJob decodeJob(const Frame &F);
 

@@ -23,9 +23,10 @@
 
 using namespace clfuzz;
 
-/// Per-connection state. The service thread reads frames and feeds
-/// the queue; runner threads drain it and write outcome frames (the
-/// write mutex serializes outcomes and heartbeat acks on the socket).
+/// Per-connection state. The service thread reads job frames (one
+/// column each) and feeds the queue; runner threads drain it and write
+/// one outcome frame per cell (the write mutex serializes outcomes and
+/// heartbeat acks on the socket).
 struct WorkerServer::Connection {
   /// Written once at accept time, closed by ~Connection (which runs
   /// only after the service thread was joined) — so every other
@@ -415,6 +416,8 @@ void WorkerServer::runnerLoop(Connection &Conn) {
   // Each slot owns a single-subprocess process pool: the fork
   // isolation, per-job wall-clock kill and crash-retry semantics (and
   // therefore the outcome *messages*) are exactly --backend=procs'.
+  // A column goes to the pool as one column, so the subprocess parses
+  // the kernel once and clones it per cell.
   ExecOptions E;
   E.Threads = 1;
   E.Backend = BackendKind::Procs;
@@ -432,78 +435,109 @@ void WorkerServer::runnerLoop(Connection &Conn) {
       Job = std::move(Conn.Queue.front());
       Conn.Queue.pop_front();
     }
+    ExecColumn Col = Job.Column.view();
+    size_t N = Col.Jobs.size();
 
-    // Consult the worker-side outcome cache first: a repeated
+    // Consult the worker-side outcome cache cell by cell: a repeated
     // descriptor (the reference run every configuration column
     // re-dispatches, a reduction re-probe) is answered without a
-    // fork. Descriptors are pure (exec/JobSerialize.h), so a cached
-    // outcome is byte-identical to a fresh execution.
-    RunOutcome O;
-    OutcomeCache::Key K;
-    bool FromCache = false;
-    if (Cache) {
-      K = Cache->keyOf(Job.Job.view());
-      FromCache = Cache->lookup(K, O);
+    // fork, and only the misses run, as a sub-column. Descriptors are
+    // pure (exec/JobSerialize.h), so a cached outcome is
+    // byte-identical to a fresh execution.
+    std::vector<RunOutcome> Outs(N);
+    std::vector<OutcomeCache::Key> Keys(Cache ? N : 0);
+    std::vector<bool> FromCache(N, false);
+    ExecColumn Misses;
+    for (size_t K = 0; K != N; ++K) {
+      if (Cache) {
+        Keys[K] = Cache->keyOf(Col.Jobs[K]);
+        FromCache[K] = Cache->lookup(Keys[K], Outs[K]);
+      }
+      if (!FromCache[K])
+        Misses.Jobs.push_back(Col.Jobs[K]);
     }
-    if (!FromCache) {
+    if (!Misses.Jobs.empty()) {
+      std::vector<RunOutcome> Ran;
       bool ExecutorFailed = false;
       try {
-        O = Local->run({Job.Job.view()}).at(0);
+        Ran = Local->runColumns({Misses});
       } catch (const std::exception &Ex) {
+        RunOutcome O;
         O.Status = RunStatus::Crash;
         O.Message = std::string("worker: ") + Ex.what();
+        Ran.assign(Misses.Jobs.size(), O);
         ExecutorFailed = true;
       }
-      // Only genuine job outcomes are cacheable. A synthesized Crash
-      // from a failing *executor* (fork failure, fd exhaustion) is
-      // this worker's transient trouble, not a property of the
-      // descriptor — memoizing it would serve the failure forever.
-      if (Cache && !ExecutorFailed)
-        Cache->store(K, O);
+      size_t M = 0;
+      for (size_t K = 0; K != N; ++K) {
+        if (FromCache[K])
+          continue;
+        // Only genuine job outcomes are cacheable. A synthesized Crash
+        // from a failing *executor* (fork failure, fd exhaustion) is
+        // this worker's transient trouble, not a property of the
+        // descriptor — memoizing it would serve the failure forever.
+        if (Cache && !ExecutorFailed)
+          Cache->store(Keys[K], Ran[M]);
+        Outs[K] = std::move(Ran[M++]);
+      }
     }
 
-    bool RequestDrain = false;
-    if (FromCache) {
-      CacheServed.fetch_add(1);
-    } else {
-      size_t Count = Executed.fetch_add(1) + 1;
-      if (Opts.DieAfterJobs && Count >= Opts.DieAfterJobs) {
-        // Die *before* sending this outcome: the coordinator sees the
-        // connection drop with the job (and its window-mates) still in
-        // flight — the failure mode the requeue/reassembly logic must
-        // survive.
-        if (Count == Opts.DieAfterJobs) {
-          logFleetDrop("worker", peerName(Conn.Fd), "die-injected");
-          Died.store(true);
-          closeAllSockets();
+    // One outcome frame per cell, all in one write. Fault injection
+    // counts executed cells, so a trigger can land mid-column: the
+    // cells before it are still answered.
+    std::vector<uint8_t> Reply;
+    auto Flush = [&] {
+      std::lock_guard<std::mutex> Lock(Conn.WriteMu);
+      wire::writeFullNoSigpipe(Conn.Fd, Reply.data(), Reply.size());
+      Reply.clear();
+    };
+    for (size_t K = 0; K != N; ++K) {
+      bool RequestDrain = false;
+      if (FromCache[K]) {
+        CacheServed.fetch_add(1);
+      } else {
+        size_t Count = Executed.fetch_add(1) + 1;
+        if (Opts.DieAfterJobs && Count >= Opts.DieAfterJobs) {
+          // Die *before* sending this outcome: the coordinator sees the
+          // connection drop with the cell (and its window-mates) still
+          // in flight — the failure mode the requeue/reassembly logic
+          // must survive.
+          if (Count == Opts.DieAfterJobs) {
+            Flush();
+            logFleetDrop("worker", peerName(Conn.Fd), "die-injected");
+            Died.store(true);
+            closeAllSockets();
+          }
+          continue;
         }
-        continue;
-      }
-      size_t Session = Conn.SessionExecuted.fetch_add(1) + 1;
-      if (Opts.FlapAfterJobs && Session >= Opts.FlapAfterJobs) {
-        // Flap: suppress this outcome and kill just this connection —
-        // the dialer (rendezvous) or the coordinator (static list)
-        // redials, and the cycle repeats. Unlike DieAfterJobs the
-        // server survives.
-        if (Session == Opts.FlapAfterJobs) {
-          logFleetDrop("worker", peerName(Conn.Fd), "flap-injected");
-          ::shutdown(Conn.Fd, SHUT_RDWR);
+        size_t Session = Conn.SessionExecuted.fetch_add(1) + 1;
+        if (Opts.FlapAfterJobs && Session >= Opts.FlapAfterJobs) {
+          // Flap: suppress this outcome and kill just this connection —
+          // the dialer (rendezvous) or the coordinator (static list)
+          // redials, and the cycle repeats. Unlike DieAfterJobs the
+          // server survives.
+          if (Session == Opts.FlapAfterJobs) {
+            Flush();
+            logFleetDrop("worker", peerName(Conn.Fd), "flap-injected");
+            ::shutdown(Conn.Fd, SHUT_RDWR);
+          }
+          continue;
         }
-        continue;
+        // Drain *after* this outcome goes out: the leave frame follows
+        // the last wanted cell in the same write, so the coordinator's
+        // view is "outcome, then leave" — never a lost cell. The rest
+        // of the column is still answered (the coordinator finishes
+        // the window of a draining link).
+        if (Opts.DrainAfterJobs && Count == Opts.DrainAfterJobs)
+          RequestDrain = true;
       }
-      // Drain *after* this outcome goes out: the leave frame follows
-      // the last executed job under the same write lock, so the
-      // coordinator's view is "outcome, then leave" — never a lost
-      // job.
-      if (Opts.DrainAfterJobs && Count == Opts.DrainAfterJobs)
-        RequestDrain = true;
+      wire::appendFrame(Reply, wire::FrameType::Outcome,
+                        wire::encodeOutcome(Job.BaseTag + K, Outs[K]));
+      if (RequestDrain && !DrainRequested.exchange(true))
+        wire::appendFrame(Reply, wire::FrameType::Leave, wire::encodeLeave());
     }
-
-    std::lock_guard<std::mutex> Lock(Conn.WriteMu);
-    wire::writeFrame(Conn.Fd, wire::FrameType::Outcome,
-                     wire::encodeOutcome(Job.Tag, O));
-    if (RequestDrain && !DrainRequested.exchange(true))
-      wire::writeFrame(Conn.Fd, wire::FrameType::Leave, wire::encodeLeave());
+    if (!Reply.empty())
+      Flush();
   }
 }
 

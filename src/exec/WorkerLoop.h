@@ -9,20 +9,21 @@
 /// The worker half of multi-host campaign execution: a TCP server
 /// that accepts coordinator connections, speaks the framed protocol
 /// of exec/WireProtocol.h (specified in docs/wire-protocol.md), and
-/// runs each received ExecJob through a *local, fork-isolated*
-/// process-pool slot — so a job that crashes the VM or blows its
-/// wall-clock deadline kills one disposable subprocess on the worker
-/// machine, is reported back as that job's Crash/Timeout outcome, and
-/// the worker keeps serving. A `clfuzz worker` on another machine is
+/// runs each received column through a *local, fork-isolated*
+/// process-pool slot — one parse per column, one outcome frame per
+/// cell — so a cell that crashes the VM or blows its wall-clock
+/// deadline kills one disposable subprocess on the worker machine, is
+/// reported back as that cell's Crash/Timeout outcome, and the worker
+/// keeps serving. A `clfuzz worker` on another machine is
 /// the paper's "many cores" knob turned past one host.
 ///
 /// Shape: one service thread per accepted connection (a campaign
 /// coordinator and several background reduction jobs can all be
 /// clients of the same worker at once); per connection, `Jobs`
 /// executor slots, each owning a single-subprocess ProcessPoolBackend
-/// (exec/ProcessPool.h), so outcomes stream back as they complete —
-/// possibly out of submission order, which is why every outcome
-/// echoes its job's tag. Determinism is inherited wholesale: a job
+/// (exec/ProcessPool.h), so outcomes stream back column by column as
+/// slots complete them — possibly out of submission order, which is
+/// why every outcome carries its cell's tag. Determinism is inherited wholesale: a job
 /// descriptor is a pure function of its bytes (exec/JobSerialize.h),
 /// so where it runs is unobservable in campaign output.
 ///
@@ -37,9 +38,9 @@
 /// WorkerServer is embeddable (tests/RemoteBackendTest.cpp runs
 /// loopback workers in-process); `clfuzz worker` wraps it in
 /// runWorkerCommand. The fault-injection options model the failure
-/// modes the coordinator must survive: DieAfterJobs hard-closes the
-/// server before the Nth outcome is sent (worker death with jobs in
-/// flight), IgnoreJobs swallows jobs and heartbeats (wedged worker),
+/// modes the coordinator must survive; they count executed cells, so a
+/// trigger may land mid-column. DieAfterJobs hard-closes the server
+/// before the Nth outcome is sent (worker death with cells in flight), IgnoreJobs swallows jobs and heartbeats (wedged worker),
 /// DrainAfterJobs leaves gracefully, FlapAfterJobs kills and redials
 /// the connection in a loop, StaleJoins rehearses the
 /// stale-cache-generation rejection. Every connection teardown emits
@@ -90,9 +91,10 @@ struct WorkerOptions {
   /// with the same ProcTimeoutMs, keeping remote output bit-identical.
   unsigned ProcTimeoutMs = 0;
 
-  /// Fault injection: after executing this many jobs (across all
+  /// Fault injection: after executing this many cells (across all
   /// connections), hard-close every socket *before* sending the Nth
-  /// outcome — a worker dying with jobs in flight. 0 disables.
+  /// outcome — a worker dying with cells in flight. The earlier cells
+  /// of the Nth's column are answered first. 0 disables.
   unsigned DieAfterJobs = 0;
 
   /// Fault injection: complete the handshake, then silently discard
@@ -100,7 +102,7 @@ struct WorkerOptions {
   /// only detect by timeout. Off by default, obviously.
   bool IgnoreJobs = false;
 
-  /// Fault injection / operations: after executing this many jobs
+  /// Fault injection / operations: after executing this many cells
   /// (across all connections), send a wire-v3 leave frame — the
   /// coordinator finishes this worker's in-flight window, dispatches
   /// nothing new, and closes gracefully with zero requeues. The
@@ -109,13 +111,13 @@ struct WorkerOptions {
   unsigned DrainAfterJobs = 0;
 
   /// Fault injection: a flapping worker — after executing this many
-  /// jobs *on one connection*, suppress that outcome and hard-close
+  /// cells *on one connection*, suppress that outcome and hard-close
   /// the connection, then (in rendezvous mode) redial with backoff
   /// and do it again. Models the die/redial loop of a machine cycling
-  /// under an unstable supply of anything. 0 disables. Keep it above
-  /// the in-flight window (2 x Jobs) so every killed job completes on
-  /// its retry before the next flap — the byte-identity chaos tests
-  /// rely on that. 0 disables.
+  /// under an unstable supply of anything. Keep it above the cells the
+  /// in-flight window can hold (2 x Jobs frames, a column each) so
+  /// every killed cell completes on its retry before the next flap —
+  /// the byte-identity chaos tests rely on that. 0 disables.
   unsigned FlapAfterJobs = 0;
 
   /// Fault injection, rendezvous mode only: announce a wrong cache
@@ -163,12 +165,12 @@ public:
   /// service threads. Idempotent.
   void stop();
 
-  /// Jobs fully executed so far (outcomes sent or suppressed by
-  /// DieAfterJobs). Cache-served jobs are not executions and are not
+  /// Cells fully executed so far (outcomes sent or suppressed by
+  /// DieAfterJobs). Cache-served cells are not executions and are not
   /// counted here — fault injection triggers on real work.
   size_t jobsExecuted() const { return Executed.load(); }
 
-  /// Jobs answered from the worker-side outcome cache (0 without one).
+  /// Cells answered from the worker-side outcome cache (0 without one).
   size_t jobsServedFromCache() const { return CacheServed.load(); }
 
   /// Outcome-cache counters (all zero when caching is off).

@@ -965,7 +965,8 @@ int usage() {
       "  run (docs/scheduler.md)\n"
       "worker: --jobs=N executor slots (0 = all cores) --proc-timeout-ms=N\n"
       "  per-job deadline; --drain-after-jobs=N leave gracefully after N\n"
-      "  jobs; fault injection for tests: --die-after-jobs=N --ignore-jobs\n"
+      "  cells; fault injection for tests (N counts cells):\n"
+      "  --die-after-jobs=N --ignore-jobs\n"
       "  --flap-after-jobs=N (die/redial loop) --stale-joins=N (announce a\n"
       "  stale cache generation in the first N joins)\n"
       "all commands: --vm-dispatch=switch|goto interpreter dispatch\n"

@@ -33,8 +33,11 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <mutex>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -100,6 +103,137 @@ std::vector<DeviceConfig> smallZoo() {
   return Zoo;
 }
 
+/// Compile-heavy kernels (many helper functions, deep blocks, few
+/// work-items), each expanded to the reference plus every zoo config
+/// at both opt levels: the shape of a differential sweep's columns.
+std::vector<TestCase> compileHeavyKernels(unsigned N, uint64_t Seed) {
+  std::vector<TestCase> Tests;
+  for (unsigned K = 0; K != N; ++K) {
+    GenOptions GO;
+    GO.Mode = GenMode::All;
+    GO.Seed = Seed + K;
+    GO.MinThreads = 2;
+    GO.MaxThreads = 8;
+    GO.MaxGroupSize = 4;
+    GO.NumFunctions = 24;
+    GO.MaxBlockStmts = 10;
+    GO.MaxBlockDepth = 5;
+    GO.MaxExprDepth = 5;
+    GO.MaxLoopIterations = 1;
+    Tests.push_back(TestCase::fromGenerated(generateKernel(GO)));
+  }
+  return Tests;
+}
+
+/// The jobs point into \p Tests and \p Zoo, which must outlive them.
+std::vector<ExecColumn> sweepColumns(const std::vector<TestCase> &Tests,
+                                     const std::vector<DeviceConfig> &Zoo) {
+  std::vector<ExecColumn> Cols;
+  for (const TestCase &T : Tests) {
+    ExecColumn Col;
+    Col.Jobs.push_back(ExecJob::onReference(T, false, RunSettings()));
+    for (const DeviceConfig &C : Zoo)
+      for (bool Opt : {false, true})
+        Col.Jobs.push_back(ExecJob::onConfig(T, C, Opt, RunSettings()));
+    Cols.push_back(std::move(Col));
+  }
+  return Cols;
+}
+
+/// A hand-rolled worker that speaks the protocol directly: it answers
+/// each hello with a hello-ack stamped \p Version (so it can pose as
+/// a peer of another protocol version), then runs every job frame
+/// in-process and records how many cells each frame carried.
+class FakeWorker {
+public:
+  explicit FakeWorker(uint8_t Version = wire::ProtocolVersion)
+      : Version(Version) {
+    ListenFd = wire::listenTcp("127.0.0.1", 0, Port);
+    Server = std::thread([this] { serve(); });
+  }
+  ~FakeWorker() {
+    ::shutdown(ListenFd, SHUT_RDWR);
+    Server.join();
+    ::close(ListenFd);
+  }
+  unsigned port() const { return Port; }
+  std::vector<size_t> frameCells() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return FrameCells;
+  }
+
+private:
+  void serve() {
+    for (;;) {
+      int Fd = ::accept(ListenFd, nullptr, nullptr);
+      if (Fd < 0)
+        return;
+      wire::Frame F;
+      if (wire::readFrame(Fd, F) == wire::ReadStatus::Ok &&
+          F.Type == wire::FrameType::Hello) {
+        std::vector<uint8_t> Ack;
+        wire::appendFrame(Ack, wire::FrameType::HelloAck,
+                          wire::encodeHelloAck(2));
+        Ack[4] = Version; // the header's version byte
+        wire::writeFull(Fd, Ack.data(), Ack.size());
+        while (wire::readFrame(Fd, F) == wire::ReadStatus::Ok) {
+          if (F.Type == wire::FrameType::Heartbeat) {
+            wire::writeFrame(Fd, wire::FrameType::HeartbeatAck, F.Payload);
+            continue;
+          }
+          if (F.Type != wire::FrameType::Job)
+            break;
+          wire::DecodedJob D = wire::decodeJob(F);
+          {
+            std::lock_guard<std::mutex> Lock(Mu);
+            FrameCells.push_back(D.Column.Cells.size());
+          }
+          ExecColumn Col = D.Column.view();
+          std::vector<uint8_t> Reply;
+          for (size_t K = 0; K != Col.Jobs.size(); ++K)
+            wire::appendFrame(
+                Reply, wire::FrameType::Outcome,
+                wire::encodeOutcome(D.BaseTag + K, runExecJob(Col.Jobs[K])));
+          wire::writeFull(Fd, Reply.data(), Reply.size());
+        }
+      }
+      ::close(Fd);
+    }
+  }
+
+  uint8_t Version;
+  unsigned Port = 0;
+  int ListenFd = -1;
+  std::thread Server;
+  std::mutex Mu;
+  std::vector<size_t> FrameCells;
+};
+
+ExecOptions remoteOpts(const FakeWorker &W, unsigned TimeoutMs = 0) {
+  ExecOptions O;
+  O.Backend = BackendKind::Remote;
+  O.RemoteWorkers = {"127.0.0.1:" + std::to_string(W.port())};
+  O.RemoteTimeoutMs = TimeoutMs;
+  return O;
+}
+
+/// The payload of a job frame that stops right after a count field:
+/// base tag, a test case with no buffers, then \p CellCount — or, with
+/// \p BufferCount set, a test case claiming that many buffers.
+std::vector<uint8_t> truncatedJobPayload(uint32_t CellCount,
+                                         uint32_t BufferCount = 0) {
+  WireWriter W;
+  W.u64(0);                    // base tag
+  W.str("k");                  // test name
+  W.str("kernel void k() {}"); // source
+  for (int D = 0; D != 6; ++D)
+    W.u32(1); // global and local range
+  W.u32(BufferCount);
+  if (BufferCount == 0)
+    W.u32(CellCount);
+  return W.buffer();
+}
+
 void expectSameOutcomes(const std::vector<RunOutcome> &A,
                         const std::vector<RunOutcome> &B,
                         const std::string &Ctx) {
@@ -130,24 +264,34 @@ TEST(RemoteBackendTest, FramesRoundTripThroughAnFd) {
   RunSettings RS;
   RS.SchedulerSeed = 7;
   ExecJob Job = ExecJob::onConfig(T, configById(Registry, 12), true, RS);
+  ExecColumn Col;
+  Col.Jobs = {Job, ExecJob::onReference(T, false, RS)};
 
   ASSERT_TRUE(wire::writeFrame(Fds[1], wire::FrameType::Job,
-                               wire::encodeJob(42, Job)));
+                               wire::encodeJob(42, Col)));
   wire::Frame F;
   ASSERT_EQ(wire::readFrame(Fds[0], F), wire::ReadStatus::Ok);
   ASSERT_EQ(F.Type, wire::FrameType::Job);
   wire::DecodedJob D = wire::decodeJob(F);
-  EXPECT_EQ(D.Tag, 42u);
-  EXPECT_EQ(D.Job.Test.Source, T.Source);
-  ASSERT_TRUE(D.Job.Config.has_value());
-  EXPECT_EQ(D.Job.Config->Id, 12);
+  EXPECT_EQ(D.BaseTag, 42u);
+  EXPECT_EQ(D.Column.Test.Source, T.Source);
+  ASSERT_EQ(D.Column.Cells.size(), 2u);
+  ASSERT_TRUE(D.Column.Cells[0].Config.has_value());
+  EXPECT_EQ(D.Column.Cells[0].Config->Id, 12);
+  EXPECT_FALSE(D.Column.Cells[1].Config.has_value());
 
-  // The round-tripped job must execute identically: the tag travels,
-  // the descriptor stays pure.
+  // The round-tripped cells must execute identically, and carry the
+  // same descriptors (cache keys): the tag travels, the descriptor
+  // stays pure.
+  ExecColumn Back = D.Column.view();
+  for (size_t K = 0; K != Col.Jobs.size(); ++K) {
+    EXPECT_EQ(descriptorBytes(Col.Jobs[K]), descriptorBytes(Back.Jobs[K]));
+    RunOutcome A = runExecJob(Col.Jobs[K]);
+    RunOutcome B = runExecJob(Back.Jobs[K]);
+    EXPECT_EQ(A.Status, B.Status);
+    EXPECT_EQ(A.OutputHash, B.OutputHash);
+  }
   RunOutcome A = runExecJob(Job);
-  RunOutcome B = runExecJob(D.Job.view());
-  EXPECT_EQ(A.Status, B.Status);
-  EXPECT_EQ(A.OutputHash, B.OutputHash);
 
   ASSERT_TRUE(wire::writeFrame(Fds[1], wire::FrameType::Outcome,
                                wire::encodeOutcome(42, A)));
@@ -830,6 +974,253 @@ TEST(RemoteBackendTest, ChurnScheduleMatchesInline) {
   EXPECT_GE(F1.Joins - F0.Joins, 2u);
   EXPECT_TRUE(Dying.died());
   EXPECT_GE(F1.Evictions - F0.Evictions, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Column frames: one job frame per campaign column (wire v4)
+//===----------------------------------------------------------------------===//
+
+TEST(RemoteBackendTest, CompileHeavyColumnsMatchInline) {
+  WorkerServer W1(loopbackWorker(2)), W2(loopbackWorker(2));
+  ASSERT_TRUE(W1.start());
+  ASSERT_TRUE(W2.start());
+
+  std::vector<TestCase> Tests = compileHeavyKernels(6, 91001);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecColumn> Cols = sweepColumns(Tests, Zoo);
+  size_t Cells = 0;
+  for (const ExecColumn &C : Cols)
+    Cells += C.Jobs.size();
+
+  InlineBackend Reference;
+  std::vector<RunOutcome> Expected = Reference.runColumns(Cols);
+  ASSERT_EQ(Expected.size(), Cells);
+
+  std::unique_ptr<ExecBackend> Remote =
+      makeRemoteBackend(remoteOpts({&W1, &W2}));
+  expectSameOutcomes(Expected, Remote->runColumns(Cols), "column batch");
+  EXPECT_EQ(W1.jobsExecuted() + W2.jobsExecuted(), Cells)
+      << "every cell runs exactly once";
+  // The flattened path over the same links is the same function.
+  std::vector<ExecJob> Flat;
+  for (const ExecColumn &C : Cols)
+    Flat.insert(Flat.end(), C.Jobs.begin(), C.Jobs.end());
+  expectSameOutcomes(Expected, Remote->run(Flat), "one-cell frames");
+}
+
+TEST(RemoteBackendTest, ColumnsTravelWholeUnlessADeadlineIsSet) {
+  std::vector<TestCase> Tests = compileHeavyKernels(2, 91002);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecColumn> Cols = sweepColumns(Tests, Zoo);
+  const size_t PerColumn = Cols.front().Jobs.size();
+  InlineBackend Reference;
+  std::vector<RunOutcome> Expected = Reference.runColumns(Cols);
+
+  {
+    FakeWorker W;
+    std::unique_ptr<ExecBackend> Remote = makeRemoteBackend(remoteOpts(W));
+    expectSameOutcomes(Expected, Remote->runColumns(Cols), "columns");
+    Remote.reset();
+    EXPECT_EQ(W.frameCells(), std::vector<size_t>(Cols.size(), PerColumn));
+  }
+  {
+    // Fewer columns than the fleet's slots (the fake advertises 2):
+    // the column is split into consecutive pieces, one per slot.
+    FakeWorker W;
+    std::vector<ExecColumn> One = {Cols.front()};
+    std::vector<RunOutcome> ExpectedOne(Expected.begin(),
+                                        Expected.begin() + PerColumn);
+    std::unique_ptr<ExecBackend> Remote = makeRemoteBackend(remoteOpts(W));
+    expectSameOutcomes(ExpectedOne, Remote->runColumns(One), "split");
+    Remote.reset();
+    EXPECT_EQ(W.frameCells(),
+              (std::vector<size_t>{PerColumn / 2, PerColumn - PerColumn / 2}));
+  }
+  {
+    // A per-cell deadline keeps every cell in a frame of its own.
+    FakeWorker W;
+    std::unique_ptr<ExecBackend> Remote =
+        makeRemoteBackend(remoteOpts(W, /*TimeoutMs=*/30000));
+    expectSameOutcomes(Expected, Remote->runColumns(Cols), "deadline");
+    Remote.reset();
+    EXPECT_EQ(W.frameCells(), std::vector<size_t>(Expected.size(), 1));
+  }
+}
+
+TEST(RemoteBackendTest, DeadlineOnAColumnKeepsTheTimeoutMessage) {
+  // The Timeout a column cell records under a deadline reads exactly
+  // as it did when every job had its own frame.
+  WorkerOptions Wedged = loopbackWorker(1);
+  Wedged.IgnoreJobs = true;
+  WorkerServer W(Wedged);
+  ASSERT_TRUE(W.start());
+
+  std::vector<TestCase> Tests = compileHeavyKernels(1, 91003);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecColumn> Cols = sweepColumns(Tests, Zoo);
+  Cols.front().Jobs.resize(2);
+
+  std::unique_ptr<ExecBackend> Remote = makeRemoteBackend(
+      remoteOpts({&W}, /*HeartbeatMs=*/0, /*TimeoutMs=*/200));
+  std::vector<RunOutcome> Got = Remote->runColumns(Cols);
+  ASSERT_EQ(Got.size(), 2u);
+  EXPECT_EQ(Got[0].Status, RunStatus::Timeout);
+  EXPECT_EQ(Got[0].Message, "exceeded the remote job deadline (200 ms); "
+                            "worker disconnected by remote backend");
+}
+
+TEST(RemoteBackendTest, DeathMidColumnRequeuesOnlyUnansweredCells) {
+  // The dying worker has one slot, so its window is two column frames
+  // (9 cells each) and it runs them in order. It dies before answering
+  // the 5th cell of the first: cells 1-4 were answered and stand, the
+  // other 5 cells of that column and all 9 of the second are requeued
+  // — 14, never the 18 a whole-frame requeue would cost.
+  WorkerOptions Dying = loopbackWorker(1);
+  Dying.DieAfterJobs = 5;
+  WorkerServer W1(Dying), W2(loopbackWorker(2));
+  ASSERT_TRUE(W1.start());
+  ASSERT_TRUE(W2.start());
+
+  std::vector<TestCase> Tests = compileHeavyKernels(8, 91004);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecColumn> Cols = sweepColumns(Tests, Zoo);
+  InlineBackend Reference;
+  std::vector<RunOutcome> Expected = Reference.runColumns(Cols);
+
+  // The dying worker is listed first, so it is dispatched to first.
+  std::unique_ptr<ExecBackend> Remote =
+      makeRemoteBackend(remoteOpts({&W1, &W2}));
+  FleetCounters F0 = fleetCounters();
+  std::vector<RunOutcome> Got = Remote->runColumns(Cols);
+  FleetCounters F1 = fleetCounters();
+
+  expectSameOutcomes(Expected, Got, "death mid-column");
+  EXPECT_TRUE(W1.died());
+  EXPECT_EQ(F1.Requeues - F0.Requeues, 14u);
+}
+
+TEST(RemoteBackendTest, DrainMidColumnFinishesTheWindowWithZeroRequeues) {
+  // The leave lands after the 3rd cell of the drainer's first column;
+  // the rest of that column and the next frame in its window are
+  // still answered, then the link closes — nothing requeued.
+  WorkerServer Static(loopbackWorker(2));
+  ASSERT_TRUE(Static.start());
+  std::shared_ptr<FleetRegistry> R = makeFleetRegistry("127.0.0.1", 0);
+  WorkerOptions DO = rendezvousWorker(R->port(), 1);
+  DO.DrainAfterJobs = 3;
+  WorkerServer Draining(DO);
+  ASSERT_TRUE(Draining.start());
+  ASSERT_TRUE(waitUntil([&] { return Draining.joinsCompleted() == 1; }, 3000));
+
+  std::vector<TestCase> Tests = compileHeavyKernels(8, 91005);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecColumn> Cols = sweepColumns(Tests, Zoo);
+  InlineBackend Reference;
+  std::vector<RunOutcome> Expected = Reference.runColumns(Cols);
+
+  ExecOptions O = remoteOpts({&Static});
+  O.Fleet = R;
+  std::unique_ptr<ExecBackend> Remote = makeRemoteBackend(O);
+  FleetCounters F0 = fleetCounters();
+  std::vector<RunOutcome> Got = Remote->runColumns(Cols);
+  FleetCounters F1 = fleetCounters();
+
+  expectSameOutcomes(Expected, Got, "drain mid-column");
+  EXPECT_TRUE(waitUntil([&] { return Draining.drained(); }, 3000));
+  EXPECT_EQ(F1.Requeues - F0.Requeues, 0u);
+  EXPECT_EQ(F1.Leaves - F0.Leaves, 1u);
+  EXPECT_EQ(Draining.jobsExecuted(), 18u)
+      << "the drainer answers its whole two-frame window";
+}
+
+TEST(RemoteBackendTest, VersionThreePeersAreRejectedAtHello) {
+  // A v4 coordinator facing a worker that answers in v3 gives up with
+  // an error that names the mismatch, not a bare "unreachable".
+  std::vector<TestCase> Tests = compileHeavyKernels(1, 91006);
+  std::vector<ExecJob> One = {
+      ExecJob::onReference(Tests[0], false, RunSettings())};
+  {
+    FakeWorker Old(/*Version=*/3);
+    std::unique_ptr<ExecBackend> Remote = makeRemoteBackend(remoteOpts(Old));
+    try {
+      Remote->run(One);
+      ADD_FAILURE() << "a v3 worker was accepted";
+    } catch (const std::runtime_error &E) {
+      EXPECT_NE(std::string(E.what()).find("protocol version mismatch"),
+                std::string::npos)
+          << E.what();
+    }
+    EXPECT_TRUE(Old.frameCells().empty()) << "a job reached a v3 worker";
+  }
+
+  // A v3 coordinator's hello is refused by a v4 worker, which logs
+  // why and keeps serving current coordinators.
+  WorkerServer W(loopbackWorker(1));
+  ASSERT_TRUE(W.start());
+  testing::internal::CaptureStderr();
+  int Fd = wire::connectTcp("127.0.0.1", W.port(), 2000);
+  ASSERT_GE(Fd, 0);
+  std::vector<uint8_t> Hello;
+  wire::appendFrame(Hello, wire::FrameType::Hello, wire::encodeHello(2));
+  Hello[4] = 3;
+  ASSERT_TRUE(wire::writeFull(Fd, Hello.data(), Hello.size()));
+  uint8_t Byte;
+  EXPECT_FALSE(wire::readFull(Fd, &Byte, 1)); // hung up, no hello-ack
+  ::close(Fd);
+  std::string Log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(Log.find("reason=handshake-version-mismatch"), std::string::npos)
+      << Log;
+  expectSameOutcomes(InlineBackend().run(One),
+                     makeRemoteBackend(remoteOpts({&W}))->run(One),
+                     "after a v3 hello");
+}
+
+TEST(RemoteBackendTest, HugeCountsInAJobFrameAreRejectedBeforeAllocating) {
+  // The counts come from the network: a frame claiming 2^32-1 cells or
+  // buffers must fail on the count itself (std::runtime_error), not on
+  // a reserve() of hundreds of gigabytes (std::bad_alloc) or worse.
+  for (const std::vector<uint8_t> &Payload :
+       {truncatedJobPayload(0xFFFFFFFFu), truncatedJobPayload(0, 0xFFFFFFFFu)}) {
+    wire::Frame F;
+    F.Type = wire::FrameType::Job;
+    F.Payload = Payload;
+    EXPECT_THROW(wire::decodeJob(F), std::runtime_error);
+  }
+  // A column of zero cells is malformed too: it would be answered by
+  // nothing.
+  {
+    wire::Frame F;
+    F.Type = wire::FrameType::Job;
+    F.Payload = truncatedJobPayload(0);
+    EXPECT_THROW(wire::decodeJob(F), std::runtime_error);
+  }
+
+  // Over TCP: the worker drops the connection as malformed-payload and
+  // keeps serving other connections.
+  WorkerServer W(loopbackWorker(1));
+  ASSERT_TRUE(W.start());
+  for (const std::vector<uint8_t> &Payload :
+       {truncatedJobPayload(0xFFFFFFFFu), truncatedJobPayload(0, 0xFFFFFFFFu)}) {
+    testing::internal::CaptureStderr();
+    int Fd = wire::connectTcp("127.0.0.1", W.port(), 2000);
+    ASSERT_GE(Fd, 0);
+    wire::Frame F;
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::FrameType::Hello,
+                                 wire::encodeHello(wire::CacheGeneration)));
+    ASSERT_EQ(wire::readFrame(Fd, F), wire::ReadStatus::Ok);
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::FrameType::Job, Payload));
+    uint8_t Byte;
+    EXPECT_FALSE(wire::readFull(Fd, &Byte, 1)); // dropped
+    ::close(Fd);
+    std::string Log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(Log.find("reason=malformed-payload"), std::string::npos) << Log;
+  }
+  std::vector<TestCase> Tests = compileHeavyKernels(1, 91007);
+  std::vector<ExecJob> One = {
+      ExecJob::onReference(Tests[0], true, RunSettings())};
+  expectSameOutcomes(InlineBackend().run(One),
+                     makeRemoteBackend(remoteOpts({&W}))->run(One),
+                     "after hostile frames");
 }
 
 //===----------------------------------------------------------------------===//
