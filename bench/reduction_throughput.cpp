@@ -1,4 +1,4 @@
-//===- reduction_throughput.cpp - Serial vs pipelined reduction speed ----------===//
+//===- reduction_throughput.cpp - Inline vs speculative reduction speed -------===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Measures the reduction pipeline on the Figure 2(f) comma-bug
-/// witness padded with noise: the same reduction runs serial
-/// (inline, no pipelining), pipelined (candidate printing overlapped
-/// with evaluation), and speculative (thread/process backends at
-/// several worker counts), reporting rounds/sec and candidates/sec.
-/// Every row is checked bit-identical to the serial baseline - the
-/// reducer's determinism contract; the sweep changes wall-clock time
-/// only.
+/// witness padded with noise: the same reduction runs inline (one
+/// candidate at a time, the next chunk's printing overlapped with
+/// evaluation) and speculative (thread/process backends at several
+/// worker counts), reporting rounds/sec and candidates/sec. Every row
+/// is checked bit-identical to the inline baseline - the reducer's
+/// determinism contract; the sweep changes wall-clock time only.
 ///
 ///   --kernels=N   pad the witness with N extra noise statements
 ///                 (default 24; more noise = longer reduction)
@@ -71,7 +70,6 @@ TestCase paddedWitness(unsigned NoiseStmts) {
 struct Row {
   std::string Name;
   ExecOptions Exec;
-  bool Pipeline;
 };
 
 } // namespace
@@ -87,20 +85,15 @@ int main(int Argc, char **Argv) {
   TestCase Witness = paddedWitness(Noise);
 
   std::vector<Row> Sweep;
-  Sweep.push_back({"inline serial",
-                   ExecOptions::withBackend(BackendKind::Inline), false});
-  Sweep.push_back({"inline pipelined",
-                   ExecOptions::withBackend(BackendKind::Inline), true});
+  Sweep.push_back({"inline", ExecOptions::withBackend(BackendKind::Inline)});
   for (unsigned T = 2; T <= MaxThreads; T *= 2)
     Sweep.push_back({"threads " + std::to_string(T),
-                     ExecOptions::withBackend(BackendKind::Threads, T),
-                     true});
+                     ExecOptions::withBackend(BackendKind::Threads, T)});
   if (Args.Backend != BackendKind::Threads &&
       Args.Backend != BackendKind::Inline)
     Sweep.push_back({std::string(backendKindName(Args.Backend)) + " " +
                          std::to_string(MaxThreads),
-                     ExecOptions::withBackend(Args.Backend, MaxThreads),
-                     true});
+                     ExecOptions::withBackend(Args.Backend, MaxThreads)});
 
   std::printf("reduction throughput: comma-bug witness + %u noise "
               "statements (%u code lines)\n\n",
@@ -116,7 +109,6 @@ int main(int Argc, char **Argv) {
     ReducerOptions Opts;
     Opts.MaxCandidates = 4000;
     Opts.Exec = Sweep[I].Exec;
-    Opts.Pipeline = Sweep[I].Pipeline;
 
     ReduceStats Stats;
     auto Start = std::chrono::steady_clock::now();
@@ -149,7 +141,6 @@ int main(int Argc, char **Argv) {
               SerialStats.InitialLines, SerialStats.FinalLines,
               SerialStats.Rounds, SerialStats.CandidatesKept,
               SerialStats.CandidatesSkipped, SerialStats.Escalations);
-  std::printf("(speedup tracks physical core count; on a 1-core host "
-              "pipelining is the only win by construction)\n");
+  std::printf("(speedup tracks physical core count)\n");
   return 0;
 }

@@ -125,7 +125,11 @@ std::vector<RunOutcome>
 ThreadPoolBackend::run(const std::vector<ExecJob> &Jobs) {
   // Campaign cells can be timeout-heavy (a cell may burn its whole
   // step budget), so the batch claims one index per lock acquisition.
-  return Engine.runBatch(Jobs);
+  // Results are keyed by submission index, never completion order.
+  std::vector<RunOutcome> Results(Jobs.size());
+  Engine.forEachIndex(Jobs.size(),
+                      [&](size_t I) { Results[I] = runExecJob(Jobs[I]); });
+  return Results;
 }
 
 std::vector<RunOutcome>

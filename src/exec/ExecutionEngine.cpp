@@ -256,11 +256,3 @@ void ExecutionEngine::forEachIndex(size_t N,
   if (Pending)
     std::rethrow_exception(Pending);
 }
-
-std::vector<RunOutcome>
-ExecutionEngine::runBatch(const std::vector<ExecJob> &Jobs) {
-  std::vector<RunOutcome> Results(Jobs.size());
-  forEachIndex(Jobs.size(),
-               [&](size_t I) { Results[I] = runExecJob(Jobs[I]); });
-  return Results;
-}

@@ -233,12 +233,6 @@ public:
   /// Chunk size for cheap, uniform-cost bodies.
   static constexpr unsigned CheapClaimChunk = 8;
 
-  /// Runs a batch of campaign cells. Results[I] is Jobs[I]'s outcome —
-  /// keyed by submission index, never completion order, so the output
-  /// is bit-identical to a serial loop over the same jobs. Cells can
-  /// time out, so the batch claims one index at a time.
-  std::vector<RunOutcome> runBatch(const std::vector<ExecJob> &Jobs);
-
 private:
   void workerLoop();
 

@@ -15,7 +15,7 @@
 // and every decision (emission, skip, charge, accept) is made on the
 // calling thread from sequentially-updated state, so the reduction
 // sequence, the stats and the trace are bit-identical across
-// backends, worker counts and pipelining.
+// backends and worker counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -403,17 +403,16 @@ struct PrintedCandidate {
 
 /// Streams one round's candidates as TestCases in priority order.
 /// Printing a candidate (parse + mutate + sema + print) costs about as
-/// much as evaluating a small kernel, so when pipelining is on the
-/// next window is printed on a helper thread while the caller runs the
-/// current window's probe jobs on the backend; the prefetch reads only
-/// round-immutable state and is joined before its results are
-/// observed, so it never changes anything but wall-clock time.
+/// much as evaluating a small kernel, so the next window is printed
+/// on a helper thread while the caller runs the current window's probe
+/// jobs on the backend; the prefetch reads only round-immutable state
+/// and is joined before its results are observed, so it never changes
+/// anything but wall-clock time.
 class ReductionCandidateSource final : public TestSource {
 public:
-  ReductionCandidateSource(RoundCtx &Ctx, unsigned Window, bool Pipeline,
+  ReductionCandidateSource(RoundCtx &Ctx, unsigned Window,
                            unsigned EmitBudget)
-      : Ctx(Ctx), Window(std::max(Window, 1u)), Pipeline(Pipeline),
-        EmitLeft(EmitBudget) {}
+      : Ctx(Ctx), Window(std::max(Window, 1u)), EmitLeft(EmitBudget) {}
 
   std::vector<TestCase> next(unsigned MaxShard) override {
     std::vector<TestCase> Shard;
@@ -474,7 +473,7 @@ private:
     std::vector<PrintedCandidate> Out =
         Prefetch.valid() ? Prefetch.get() : printWindow(NextGroup, N);
     NextGroup += N;
-    if (Pipeline && NextGroup < Ctx.NumGroups) {
+    if (NextGroup < Ctx.NumGroups) {
       size_t Ahead = std::min<size_t>(Window, Ctx.NumGroups - NextGroup);
       Prefetch = std::async(std::launch::async,
                             [this, Begin = NextGroup, Ahead] {
@@ -486,7 +485,6 @@ private:
 
   RoundCtx &Ctx;
   unsigned Window;
-  bool Pipeline;
   unsigned EmitLeft;
   size_t NextGroup = 0;
   std::vector<PrintedCandidate> Carry; ///< printed, not yet filtered
@@ -696,8 +694,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
       // Best.Source, which the prefetch reads - runs strictly after
       // the round's helper work finished.
       ReductionCandidateSource Source(
-          Round, Chunk, Opts.Pipeline,
-          Opts.MaxCandidates - Local.CandidatesTried);
+          Round, Chunk, Opts.MaxCandidates - Local.CandidatesTried);
       ShardedCampaignRun CandidateRun(
           Source, *Backend, Chunk,
           [&](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {

@@ -124,7 +124,7 @@ private:
 
 /// One observable reduction event, emitted in deterministic
 /// (submission) order: trace streams are bit-identical across
-/// backends, worker counts and pipelining.
+/// backends and worker counts.
 struct ReduceTraceEvent {
   enum class Kind : uint8_t {
     Witness, ///< the input's own interestingness probe
@@ -175,10 +175,6 @@ struct ReducerOptions {
   /// validation). On by default; costs one reference run per
   /// candidate.
   bool ValidateOnReference = true;
-  /// Overlap the next chunk's candidate enumeration/printing with the
-  /// current chunk's backend evaluation. Never changes results - only
-  /// wall-clock time (bench/reduction_throughput.cpp measures it).
-  bool Pipeline = true;
   /// After this many consecutive single-mutation rounds without an
   /// acceptance, escalate to multi-mutation candidates.
   unsigned EscalateAfterStalls = 1;
@@ -188,11 +184,10 @@ struct ReducerOptions {
   /// When set, candidate probes run on this caller-owned backend and
   /// Exec only tunes shard size; when null (the default) the reducer
   /// builds its own backend from Exec. The campaign scheduler injects
-  /// its shared backend here — safe because it serializes every step
-  /// it grants, so no two reductions (or a reduction and a campaign
-  /// shard) ever contend for the batch state. Threaded ReductionQueue
-  /// workers must leave this null: concurrent jobs sharing one
-  /// backend would race.
+  /// its shared backend (or a hunt's dedicated reduce backend) here —
+  /// safe because it serializes every step it grants, so no two
+  /// reductions (or a reduction and a campaign shard) ever contend for
+  /// the batch state.
   ExecBackend *Backend = nullptr;
   /// Dispatch priority for the candidate-probe batches (see
   /// ExecBackend::runColumnsPrioritized). The scheduler's reduction

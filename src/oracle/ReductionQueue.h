@@ -1,4 +1,4 @@
-//===- ReductionQueue.h - Background reduction job queue --------*- C++ -*-===//
+//===- ReductionQueue.h - Witness reduction job store -----------*- C++ -*-===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
@@ -6,38 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A background job queue that shrinks wrong-code witnesses while the
-/// campaign that found them keeps hunting at full speed - reduction is
-/// just another scheduled workload over the shared backend machinery,
-/// not a blocking epilogue. `clfuzz hunt --reduce` submits every
-/// witness here and drains the queue after the campaign; each worker
-/// thread runs reduceTest with its own ExecBackend (--reduce-backend),
-/// so crashy witnesses can reduce under process isolation while the
-/// campaign proper stays on a faster backend — and with
-/// --reduce-backend=remote each background job dials its own
-/// connections to the `clfuzz worker` fleet (exec/RemoteBackend.h),
-/// farming candidate probes off-machine entirely. A backend failure
-/// (the whole fleet unreachable, say) is contained: it surfaces as
-/// that job's ReductionResult::Error, never as a dead campaign.
+/// The job store behind witness reduction: wrong-code witnesses are
+/// shrunk while the campaign that found them keeps hunting, because
+/// reduction is just another scheduled workload over the shared
+/// backend machinery, not a blocking epilogue. A hunt submits every
+/// witness here; its ReductionLaneTask (sched/Campaigns.h) runs one
+/// job per scheduler grant via runNextPending(), on the scheduler's
+/// thread and in the Reduction lane, so jobs never run concurrently
+/// with each other or with a campaign shard. That is what makes
+/// ReducerOptions::Backend safe to point at the campaign's backend, or
+/// at a dedicated one (`--reduce-backend=procs` fork-isolates crashy
+/// candidates; `remote` farms the probes to the `clfuzz worker`
+/// fleet, exec/RemoteBackend.h). A backend failure (the whole fleet
+/// unreachable, say) is contained: it surfaces as that job's
+/// ReductionResult::Error, never as a dead campaign.
 /// docs/reduction.md documents the full design.
 ///
-/// Two execution modes:
-///
-///  * Threaded (Workers >= 1): the historical mode. A fixed pool of
-///    background threads pops jobs FIFO, each reducing with its own
-///    backend built from Opts.Exec.
-///  * Scheduler-driven (Workers == 0): no threads are spawned; the
-///    queue is a passive job store and the campaign scheduler
-///    (src/sched/) pulls jobs one at a time via runNextPending() on
-///    its own thread — the queue's priority lane. In this mode
-///    ReducerOptions::Backend typically points at the scheduler's
-///    shared backend, which is safe precisely because the scheduler
-///    serializes steps.
-///
-/// Determinism: each job's reduction is bit-identical regardless of
-/// which worker runs it or when (reduceTest's contract), and drain()
+/// Determinism: each job's reduction is bit-identical whichever
+/// backend runs it and whenever (reduceTest's contract), and drain()
 /// returns results sorted by (OrderKey, Label) - so a hunt's report is
-/// byte-identical however the background work interleaves.
+/// byte-identical however the reductions interleave with the hunt.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,19 +35,15 @@
 #include "oracle/Reducer.h"
 #include "triage/Triage.h"
 
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 namespace clfuzz {
 
 /// Asks the queue to triage the reduced witness after reduction
 /// succeeds (src/triage/): bisection probes ride the job's own
-/// scheduling — the job's backend, priority and run settings — so
-/// triage works identically threaded and scheduler-driven.
+/// scheduling — the job's backend, priority and run settings.
 struct TriageRequest {
   DeviceConfig Config; ///< the configuration the witness misbehaves on
   bool Opt = false;    ///< the misbehaving opt level
@@ -92,72 +76,40 @@ struct ReductionResult {
   /// The job's JSONL trace (only when the queue captures traces).
   std::string Trace;
   /// Non-empty when the reduction aborted (e.g. its backend failed);
-  /// Reduced is then the unreduced witness. A failed background job
-  /// never takes the campaign down.
+  /// Reduced is then the unreduced witness. A failed job never takes
+  /// the campaign down.
   std::string Error;
 };
 
-/// Pool of reduction workers fed from a FIFO — or, with Workers == 0,
-/// a passive store the campaign scheduler services.
+/// A FIFO of witnesses awaiting reduction, run one job at a time by
+/// whoever drives it (the scheduler's reduction lane).
 class ReductionQueue {
 public:
-  /// \p Workers background threads reduce jobs with \p Opts; with
-  /// Workers == 0 no threads are spawned and jobs only run when a
-  /// driver calls runNextPending() (the scheduler-driven mode above).
-  /// When \p CaptureTrace is set, each job's JSONL trace is buffered
-  /// and returned with its result (any ReducerOptions::Trace in
-  /// \p Opts is replaced).
-  ReductionQueue(ReducerOptions Opts, unsigned Workers,
-                 bool CaptureTrace = false);
-  ~ReductionQueue();
-
-  ReductionQueue(const ReductionQueue &) = delete;
-  ReductionQueue &operator=(const ReductionQueue &) = delete;
+  /// Jobs reduce with \p Opts. When \p CaptureTrace is set, each
+  /// job's JSONL trace is buffered and returned with its result (any
+  /// ReducerOptions::Trace in \p Opts is replaced).
+  explicit ReductionQueue(ReducerOptions Opts, bool CaptureTrace = false)
+      : Opts(std::move(Opts)), CaptureTrace(CaptureTrace) {}
 
   /// Enqueues a witness; returns immediately.
-  void submit(ReductionJob Job);
+  void submit(ReductionJob Job) { Pending.push_back(std::move(Job)); }
 
-  /// Number of jobs submitted so far.
-  size_t submitted() const;
-
-  /// True while at least one submitted job has not been picked up yet.
-  bool hasPending() const;
-
-  /// True once every submitted job has finished (trivially true when
-  /// nothing was submitted).
-  bool allDone() const;
+  /// True while at least one submitted job has not run yet.
+  bool hasPending() const { return !Pending.empty(); }
 
   /// Runs the oldest pending job to completion on the calling thread;
-  /// returns false if nothing was pending. The scheduler's service
-  /// entry point in Workers == 0 mode; also safe (but unusual) beside
-  /// worker threads — the FIFO pop is atomic either way.
+  /// returns false if nothing was pending.
   bool runNextPending();
 
-  /// Blocks until every submitted job finished. With Workers == 0 this
-  /// only returns once some thread ran the jobs via runNextPending();
-  /// a solo (threaded) driver uses it as its wait-for-quiet point.
-  void waitAll();
-
-  /// Blocks until every submitted job finished; returns all results
-  /// accumulated since the last drain, sorted by (OrderKey, Label).
+  /// Returns every result finished since the last drain, sorted by
+  /// (OrderKey, Label). Jobs still pending are not run.
   std::vector<ReductionResult> drain();
 
 private:
-  void workerLoop();
-  void runJob(ReductionJob Job);
-
   ReducerOptions Opts;
   bool CaptureTrace;
-  std::vector<std::thread> Threads;
-
-  mutable std::mutex M;
-  std::condition_variable CV;     ///< workers: work available / stop
-  std::condition_variable DoneCV; ///< drain(): all jobs finished
   std::deque<ReductionJob> Pending;
   std::vector<ReductionResult> Results;
-  size_t Submitted = 0;
-  size_t Finished = 0;
-  bool Stopping = false;
 };
 
 } // namespace clfuzz

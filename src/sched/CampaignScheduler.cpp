@@ -17,10 +17,9 @@ CampaignTask::~CampaignTask() = default;
 
 void clfuzz::runCampaignTask(CampaignTask &Task) {
   while (!Task.done()) {
-    if (Task.ready())
-      Task.step();
-    else
-      Task.waitReady();
+    if (!Task.ready())
+      throw std::logic_error("campaign stalled: not ready and not done");
+    Task.step();
   }
 }
 
@@ -69,20 +68,11 @@ bool CampaignScheduler::stepOnce() {
   }
   if (AllDone)
     return false;
-  if (Candidates.empty()) {
-    // Every live campaign is waiting on work only another *thread*
-    // can produce. Under the scheduler's single-threaded grant loop
-    // with scheduler-driven queues this is unreachable (a hunt waits
-    // only on its reduction lane, which is ready whenever the queue
-    // has jobs); a threaded queue can briefly park us here, so wait
-    // on the first waiter rather than spinning.
-    for (ScheduledCampaign &C : Campaigns)
-      if (!C.Task->done()) {
-        C.Task->waitReady();
-        return true;
-      }
+  // Every live campaign waits on another's progress: unreachable
+  // when each hunt's reduction lane is registered (the lane is ready
+  // whenever the hunt waits on its queue), so a stall is a wiring bug.
+  if (Candidates.empty())
     throw std::logic_error("scheduler stalled: no campaign ready or done");
-  }
 
   std::vector<unsigned> Weights;
   Weights.reserve(Candidates.size());

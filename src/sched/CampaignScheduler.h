@@ -82,11 +82,8 @@ public:
   /// calling thread. Called only when ready() && !done().
   virtual void step() = 0;
 
-  /// Solo-driver fallback: blocks until ready() (or done()). Only
-  /// meaningful for campaigns whose readiness another *thread* can
-  /// change (a hunt over a threaded ReductionQueue); under the
-  /// scheduler, readiness only changes between steps and this is
-  /// never called.
+  /// Never called: readiness only changes between steps. Kept only
+  /// because perfbench/ still overrides it.
   virtual void waitReady() {}
 
   /// Scheduling lane; Reduction-lane campaigns preempt Foreground
@@ -107,10 +104,9 @@ public:
   virtual int exitCode() const { return 0; }
 };
 
-/// Runs one campaign to completion on the calling thread — the solo
-/// drivers (`clfuzz hunt/diff/reduce`) are this loop, so a solo run
-/// and a scheduled run execute the same task code path by
-/// construction.
+/// Runs one campaign to completion on the calling thread: the plain
+/// step loop the tests use as a solo reference. Throws
+/// std::logic_error if the campaign stalls (not ready, not done).
 void runCampaignTask(CampaignTask &Task);
 
 /// Per-campaign accounting, maintained by the scheduler from
@@ -179,7 +175,9 @@ public:
   ScheduledCampaign &add(std::string Name, CampaignTask &Task);
 
   /// Grants one step to the policy's pick among ready campaigns.
-  /// Returns false when every campaign is done.
+  /// Returns false when every campaign is done; throws
+  /// std::logic_error when none is ready and some are not done (a
+  /// campaign waiting on work no registered task produces).
   bool stepOnce();
 
   /// Runs stepOnce() until every campaign is done.

@@ -204,20 +204,12 @@ public:
   bool mainPhaseActive() const { return Phase == PhaseKind::Main; }
 
   bool ready() const override {
-    // Waiting for background/lane reductions to finish is the only
-    // not-ready state; under the scheduler the reduction lane is
-    // ready exactly while jobs are queued, so one of the two always
-    // progresses.
+    // Waiting for the lane's reductions to finish is the only
+    // not-ready state; the lane is ready exactly while jobs are
+    // queued, so one of the two always progresses.
     if (Phase == PhaseKind::WaitReductions)
-      return Queue->allDone();
+      return !Queue->hasPending();
     return Phase != PhaseKind::Done;
-  }
-
-  void waitReady() override {
-    // Solo driver over a *threaded* queue: block until the
-    // background workers finish instead of spinning.
-    if (Phase == PhaseKind::WaitReductions)
-      Queue->waitAll();
   }
 
   void step() override {
@@ -796,18 +788,17 @@ HuntCampaign clfuzz::makeHuntCampaign(const HuntSpec &Spec,
                                       std::FILE *Out) {
   HuntCampaign C;
   // Reduction rides the text report only (csv/jsonl sinks have no
-  // verdict stream to submit witnesses from), like the solo command.
+  // verdict stream to submit witnesses from).
   bool WantReduce = Spec.Reduce && Spec.Format == "text";
   if (WantReduce)
     C.Queue = std::make_unique<ReductionQueue>(
-        Spec.ReduceOpts, Spec.ReduceWorkers,
-        /*CaptureTrace=*/!Spec.ReduceTracePath.empty());
+        Spec.ReduceOpts, /*CaptureTrace=*/!Spec.ReduceTracePath.empty());
 
   auto Main = std::make_unique<HuntTask>(Spec, ShardSize, Backend,
                                          C.Queue.get(), Out);
-  if (WantReduce && Spec.ReduceWorkers == 0) {
-    // Scheduler-driven queue: the priority lane services it; closed
-    // once the hunt's campaign phase stops submitting.
+  if (WantReduce) {
+    // The priority lane services the queue; closed once the hunt's
+    // campaign phase stops submitting.
     HuntTask *MainPtr = Main.get();
     C.Lane = std::make_unique<ReductionLaneTask>(
         *C.Queue, [MainPtr] { return !MainPtr->mainPhaseActive(); });

@@ -9,11 +9,12 @@
 /// CampaignTask implementations for the five campaign types the
 /// scheduler multiplexes — differential diff, hunt (with background
 /// reduction and optional triage), EMI, witness reduction, and
-/// witness triage — plus the ReductionQueue priority lane. The solo commands (`clfuzz hunt/diff/reduce`) and
-/// the multi-campaign driver (`clfuzz sched`) build their campaigns
-/// through these same factories and run the same step() code, so a
-/// campaign's report is byte-identical solo or interleaved *by
-/// construction*; SchedulerConformanceTest additionally pins it.
+/// witness triage — plus the ReductionQueue priority lane. A solo
+/// command (`clfuzz hunt/diff/reduce/triage`) is a one-campaign
+/// schedule built through these same factories as the campaigns of
+/// `clfuzz sched`, so a campaign's report is byte-identical solo or
+/// interleaved *by construction*; SchedulerConformanceTest
+/// additionally pins it.
 ///
 /// Every task writes its report to a caller-supplied FILE* (stdout
 /// for the solo commands, a per-campaign stream under `clfuzz sched`)
@@ -53,14 +54,12 @@ struct HuntSpec {
   unsigned Count = 20;
   std::string Format = "text";
   /// Submit wrong-code witnesses for background reduction (text
-  /// format only, like the solo command).
+  /// format only).
   bool Reduce = false;
-  /// Reduction tuning for --reduce (candidate budget, backend when
-  /// self-built, injected shared backend under the scheduler, ...).
+  /// Reduction tuning for --reduce (candidate budget, the backend the
+  /// probes run on, dispatch priority, ...).
   ReducerOptions ReduceOpts;
-  /// Reduction execution: 0 = scheduler-driven (a ReductionLaneTask
-  /// services the queue — the scheduler's priority lane); >= 1 =
-  /// that many background threads (the solo `hunt --reduce` mode).
+  /// Unread; kept only because perfbench/ still assigns it.
   unsigned ReduceWorkers = 0;
   /// Buffer per-job JSONL traces and write them to this path after
   /// the drain ("" = no trace, "-" = stderr).
@@ -115,18 +114,18 @@ struct TriageSpec {
   std::string Format = "text";
 };
 
-/// Services a scheduler-driven ReductionQueue (Workers == 0): each
-/// step runs one queued reduction to completion on the calling
-/// thread. Lives in the Reduction lane, so the scheduler grants it
-/// slots ahead of every foreground campaign while jobs are queued.
-/// The task is done when \p Closed reports the producing campaign
-/// stopped submitting AND the queue is fully drained.
+/// Services a hunt's ReductionQueue: each step runs one queued
+/// reduction to completion on the calling thread. Lives in the
+/// Reduction lane, so the scheduler grants it slots ahead of every
+/// foreground campaign while jobs are queued. The task is done when
+/// \p Closed reports the producing campaign stopped submitting AND
+/// the queue is fully drained.
 class ReductionLaneTask final : public CampaignTask {
 public:
   ReductionLaneTask(ReductionQueue &Queue, std::function<bool()> Closed)
       : Queue(Queue), Closed(std::move(Closed)) {}
 
-  bool done() const override { return Closed() && Queue.allDone(); }
+  bool done() const override { return Closed() && !Queue.hasPending(); }
   bool ready() const override { return Queue.hasPending(); }
   void step() override {
     if (Queue.runNextPending())
@@ -142,10 +141,8 @@ private:
 };
 
 /// A hunt campaign's moving parts, wired together by
-/// makeHuntCampaign. Without reduction, only Main is set; with
-/// threaded reduction (solo), Main + Queue; with scheduler-driven
-/// reduction, Main + Queue + Lane (register BOTH tasks with the
-/// scheduler).
+/// makeHuntCampaign. Without reduction, only Main is set; with it,
+/// Main + Queue + Lane (register BOTH tasks with the scheduler).
 struct HuntCampaign {
   std::unique_ptr<ReductionQueue> Queue;
   std::unique_ptr<CampaignTask> Main;

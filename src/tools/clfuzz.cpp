@@ -71,16 +71,18 @@
 /// Reduction is a pipeline workload too: `reduce` evaluates its
 /// speculative candidates on --reduce-backend with --reduce-jobs
 /// workers (procs fork-isolates crashy candidates; remote farms them
-/// to the worker fleet), and `hunt --reduce` hands every wrong-code
-/// witness to a background reduction queue instead of blocking the
-/// campaign. Findings and reductions are identical for every backend,
-/// worker count and shard size. docs/architecture.md,
-/// docs/wire-protocol.md and docs/reduction.md specify all of this.
+/// to the worker fleet), and `hunt --reduce` queues every wrong-code
+/// witness for a reduction lane that shrinks it between the hunt's
+/// shards, on the campaign's backend or on --reduce-backend. Findings
+/// and reductions are identical for every backend, worker count and
+/// shard size. docs/architecture.md, docs/wire-protocol.md and
+/// docs/reduction.md specify all of this.
 ///
 /// `sched` multiplexes N of these campaigns over one shared backend
-/// (src/sched/, docs/scheduler.md): each campaign's report is
-/// byte-identical to its solo run, and --stats breaks every counter
-/// down per campaign.
+/// (src/sched/, docs/scheduler.md); a solo command is the same
+/// schedule with one campaign, so each campaign's report is
+/// byte-identical solo or interleaved, and `sched --stats` breaks
+/// every counter down per campaign.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,7 +96,6 @@
 #include "exec/WorkerLoop.h"
 #include "gen/Generator.h"
 #include "oracle/Oracle.h"
-#include "oracle/ReductionQueue.h"
 #include "sched/CampaignScheduler.h"
 #include "sched/CampaignSpec.h"
 #include "sched/Campaigns.h"
@@ -108,6 +109,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 using namespace clfuzz;
@@ -454,119 +456,32 @@ std::unique_ptr<ExecBackend> makeBackendOrDie(const ExecOptions &Opts) {
   }
 }
 
-int cmdDiff(const CliArgs &A) {
+//===----------------------------------------------------------------------===//
+// Campaign spec builders: one per kind, shared by the solo commands and
+// `clfuzz sched`. Each reads a solo command's flags or a sched
+// declaration's params, which use the same keys. An invalid argument
+// prints "<Who>: <message>" and yields no spec; the command exits 2.
+// The backend a reduction runs on is the caller's to attach.
+//===----------------------------------------------------------------------===//
+
+DiffSpec diffSpecFrom(const CliArgs &A) {
   DiffSpec Spec;
   // Validate the report format before any cell runs.
   Spec.Format = reportFormatFrom(A);
   Spec.Gen = genOptionsFrom(A);
-  ExecOptions Opts = execOptionsFrom(A);
-  std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
-  // The task code is shared with `clfuzz sched`: a diff campaign
-  // interleaved with others steps through exactly this path.
-  std::unique_ptr<CampaignTask> Task = makeDiffTask(Spec, *Backend, stdout);
-  runCampaignTask(*Task);
-  printCacheStats(A, Opts, "diff");
-  return Task->exitCode();
+  return Spec;
 }
 
-namespace {
-
-/// Reduction scheduling options shared by `reduce` and
-/// `hunt --reduce`: --reduce-backend picks the candidate-evaluation
-/// backend, --reduce-jobs the worker count (for `reduce`: speculative
-/// candidate evaluators; for `hunt`: concurrent background
-/// reductions), --reduce-max the candidate budget. \p BuildCache is
-/// false when the caller supplies a shared cache of its own (`hunt`
-/// hands its campaign cache to the reduction queue).
-ReducerOptions reducerOptionsFrom(const CliArgs &A,
-                                  bool BuildCache = true) {
+/// The candidate budget every reducing campaign reads (--reduce-max).
+ReducerOptions reducerOptionsFrom(const CliArgs &A) {
   ReducerOptions RO;
-  RO.Exec = ExecOptions::withThreads(
-      static_cast<unsigned>(A.getInt("reduce-jobs", 1)));
-  if (A.has("reduce-backend") &&
-      !parseBackendKind(A.get("reduce-backend"), RO.Exec.Backend)) {
-    std::fprintf(stderr,
-                 "unknown reduce backend '%s' (use inline, threads, "
-                 "procs or remote)\n",
-                 A.get("reduce-backend").c_str());
-    std::exit(1);
-  }
-  // --reduce-backend=remote farms candidate probes to the worker
-  // fleet too; it reuses --workers unless --reduce-workers names a
-  // dedicated one.
-  applyRemoteOptions(A, RO.Exec, "reduce-workers");
-  // The descriptor-level cache subsumes the reducer's printed-form
-  // cache across rounds: a re-probed candidate (crash and timeout
-  // outcomes included) is answered without a fork.
-  if (BuildCache)
-    applyCacheOptions(A, RO.Exec);
-  RO.MaxCandidates = static_cast<unsigned>(
-      A.getInt("reduce-max", RO.MaxCandidates));
-  if (A.has("no-pipeline"))
-    RO.Pipeline = false;
+  RO.MaxCandidates =
+      static_cast<unsigned>(A.getInt("reduce-max", RO.MaxCandidates));
   return RO;
 }
 
-int cmdReduce(const CliArgs &A) {
-  if (!A.has("config")) {
-    std::fprintf(stderr, "reduce: --config=ID is required (the "
-                         "configuration the witness misbehaves on)\n");
-    return 2;
-  }
-  ReduceSpec Spec;
-  Spec.Expect = A.get("expect", "wrong");
-  if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
-      Spec.Expect != "timeout" && Spec.Expect != "build-failure") {
-    std::fprintf(stderr,
-                 "unknown --expect '%s' (use wrong, crash, timeout or "
-                 "build-failure)\n",
-                 Spec.Expect.c_str());
-    return 2;
-  }
-  Spec.Gen = genOptionsFrom(A);
-  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
-  Spec.Opt = A.has("opt");
-  Spec.Opts = reducerOptionsFrom(A);
-  Spec.TracePath = A.get("trace");
-  // The task code is shared with `clfuzz sched` (which additionally
-  // points Spec.Opts.Backend at its shared backend); the report is
-  // deliberately backend-silent, byte-identical across
-  // --reduce-backend and --reduce-jobs.
-  std::unique_ptr<CampaignTask> Task = makeReduceTask(Spec, stdout);
-  runCampaignTask(*Task);
-  printCacheStats(A, Spec.Opts.Exec, "reduce");
-  return Task->exitCode();
-}
-
-/// `clfuzz triage`: reduce one wrong-code witness, then bisect the
-/// optimisation pass pipeline for the minimal faulty pass combination
-/// and derive the witness's bug-cluster key (src/triage/,
-/// docs/triage.md). Probes evaluate on the reducer's backend
-/// (--reduce-backend/--reduce-jobs), so the report is byte-identical
-/// across backends, worker counts and cache states.
-int cmdTriage(const CliArgs &A) {
-  if (!A.has("config")) {
-    std::fprintf(stderr, "triage: --config=ID is required (the "
-                         "configuration the witness misbehaves on)\n");
-    return 2;
-  }
-  TriageSpec Spec;
-  Spec.Gen = genOptionsFrom(A);
-  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
-  Spec.Opt = A.has("opt");
-  Spec.Opts = reducerOptionsFrom(A);
-  Spec.Format = reportFormatFrom(A);
-  // The task code is shared with `clfuzz sched` (which points
-  // Spec.Opts.Backend at its shared backend instead).
-  std::unique_ptr<CampaignTask> Task = makeTriageTask(Spec, stdout);
-  runCampaignTask(*Task);
-  printCacheStats(A, Spec.Opts.Exec, "triage");
-  return Task->exitCode();
-}
-
-} // namespace
-
-int cmdHunt(const CliArgs &A) {
+std::optional<HuntSpec> huntSpecFrom(const CliArgs &A,
+                                     const std::string &Who) {
   HuntSpec Spec;
   Spec.ModeName = A.get("mode", "ALL");
   Spec.Mode = modeByName(Spec.ModeName);
@@ -578,49 +493,200 @@ int cmdHunt(const CliArgs &A) {
   Spec.Triage = A.has("triage");
   if (Spec.Triage && !Spec.Reduce) {
     std::fprintf(stderr,
-                 "hunt: --triage bisects *reduced* witnesses and needs "
+                 "%s: --triage bisects *reduced* witnesses and needs "
                  "--reduce (add --reduce, or use `clfuzz triage` for a "
-                 "single witness)\n");
-    return 2;
+                 "single witness)\n",
+                 Who.c_str());
+    return std::nullopt;
   }
   Spec.TriageOut = A.get("triage-out");
   Spec.TriageFormat = triageFormatFrom(A);
+  // Witnesses drain through the hunt's Reduction-lane task, whose
+  // probes enter the backend ahead of priority-0 campaign work.
+  Spec.ReduceOpts = reducerOptionsFrom(A);
+  Spec.ReduceOpts.DispatchPriority = 1;
+  return Spec;
+}
 
+/// True (after printing the error) when the witness's --config is
+/// missing: `reduce` and `triage` need the misbehaving configuration.
+bool missingConfig(const CliArgs &A, const std::string &Who) {
+  if (A.has("config"))
+    return false;
+  std::fprintf(stderr, "%s: --config=ID is required (the configuration "
+                       "the witness misbehaves on)\n",
+               Who.c_str());
+  return true;
+}
+
+std::optional<ReduceSpec> reduceSpecFrom(const CliArgs &A,
+                                         const std::string &Who) {
+  if (missingConfig(A, Who))
+    return std::nullopt;
+  ReduceSpec Spec;
+  Spec.Expect = A.get("expect", "wrong");
+  if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
+      Spec.Expect != "timeout" && Spec.Expect != "build-failure") {
+    std::fprintf(stderr,
+                 "%s: unknown --expect '%s' (use wrong, crash, timeout or "
+                 "build-failure)\n",
+                 Who.c_str(), Spec.Expect.c_str());
+    return std::nullopt;
+  }
+  Spec.Gen = genOptionsFrom(A);
+  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
+  Spec.Opt = A.has("opt");
+  Spec.Opts = reducerOptionsFrom(A);
+  Spec.TracePath = A.get("trace");
+  return Spec;
+}
+
+std::optional<TriageSpec> triageSpecFrom(const CliArgs &A,
+                                         const std::string &Who) {
+  if (missingConfig(A, Who))
+    return std::nullopt;
+  TriageSpec Spec;
+  Spec.Gen = genOptionsFrom(A);
+  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
+  Spec.Opt = A.has("opt");
+  Spec.Opts = reducerOptionsFrom(A);
+  Spec.Format = reportFormatFrom(A);
+  return Spec;
+}
+
+/// The reduce backend's options: --reduce-backend with --reduce-jobs
+/// workers; remote probes dial --reduce-workers, else --workers.
+/// `reduce` and `triage` run on it, and so does `hunt --reduce` when
+/// --reduce-backend is given.
+ExecOptions reduceExecOptionsFrom(const CliArgs &A) {
+  ExecOptions Opts = ExecOptions::withThreads(
+      static_cast<unsigned>(A.getInt("reduce-jobs", 1)));
+  if (A.has("reduce-backend") &&
+      !parseBackendKind(A.get("reduce-backend"), Opts.Backend)) {
+    std::fprintf(stderr,
+                 "unknown reduce backend '%s' (use inline, threads, "
+                 "procs or remote)\n",
+                 A.get("reduce-backend").c_str());
+    std::exit(1);
+  }
+  applyRemoteOptions(A, Opts, "reduce-workers");
+  return Opts;
+}
+
+//===----------------------------------------------------------------------===//
+// One grant loop: a solo command is a one-campaign schedule
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Sched to completion; the exit code is the worst campaign's.
+int runSchedule(CampaignScheduler &Sched) {
+  Sched.runToCompletion();
+  int Exit = 0;
+  for (const ScheduledCampaign &C : Sched.campaigns())
+    Exit = std::max(Exit, C.Task->exitCode());
+  return Exit;
+}
+
+/// Adds a hunt's task, and its Reduction lane when it reduces.
+void addHunt(CampaignScheduler &Sched, const std::string &Name,
+             const HuntCampaign &C) {
+  Sched.add(Name, *C.Main);
+  if (C.Lane)
+    Sched.add(Name + "/reduce", *C.Lane);
+}
+
+/// A solo command's campaign runs through the same grant loop as
+/// `clfuzz sched`, as a schedule of one, reporting straight to stdout.
+int runSolo(ExecBackend &Backend, const std::string &Name,
+            CampaignTask &Task) {
+  CampaignScheduler Sched(Backend);
+  Sched.add(Name, Task);
+  return runSchedule(Sched);
+}
+
+int cmdDiff(const CliArgs &A) {
+  DiffSpec Spec = diffSpecFrom(A);
   ExecOptions Opts = execOptionsFrom(A);
   std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
+  std::unique_ptr<CampaignTask> Task = makeDiffTask(Spec, *Backend, stdout);
+  int Exit = runSolo(*Backend, "diff", *Task);
+  printCacheStats(A, Opts, "diff");
+  return Exit;
+}
 
-  // Background reduction: wrong-code witnesses are queued for
-  // shrinking as they are found and drained after the campaign, so
-  // the hunt never stalls on a reduction. --reduce-jobs concurrent
-  // reductions, each evaluating candidates on --reduce-backend.
-  if (Spec.Reduce) {
-    ReducerOptions RO = reducerOptionsFrom(A, /*BuildCache=*/false);
-    RO.Exec.Threads = 1; // within one background job, evaluate serially
-    // Campaign and background reductions share one cache: every
-    // witness's probes start from the outcomes the hunt already paid
-    // for, and the --stats counters cover both.
-    RO.Exec.Cache = Opts.Cache;
-    Spec.ReduceOpts = RO;
-    // Solo hunts drain reductions on background threads — at least
-    // one (ReduceWorkers == 0 means the scheduler-driven lane, and
-    // there is no scheduler here to service it).
-    Spec.ReduceWorkers = std::max<unsigned>(
-        1, static_cast<unsigned>(A.getInt("reduce-jobs", 2)));
+int cmdHunt(const CliArgs &A) {
+  std::optional<HuntSpec> Spec = huntSpecFrom(A, "hunt");
+  if (!Spec)
+    return 2;
+  ExecOptions Opts = execOptionsFrom(A);
+  std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
+  // Reductions run on the campaign's backend, as under `sched`, unless
+  // --reduce-backend builds them one of their own. Campaign and
+  // reductions share one cache either way: every witness's probes
+  // start from the outcomes the hunt already paid for, and the --stats
+  // counters cover both.
+  std::unique_ptr<ExecBackend> ReduceBackend;
+  Spec->ReduceOpts.Backend = Backend.get();
+  if (Spec->Reduce && A.has("reduce-backend")) {
+    ExecOptions RO = reduceExecOptionsFrom(A);
+    RO.Cache = Opts.Cache;
+    ReduceBackend = makeBackendOrDie(RO);
+    Spec->ReduceOpts.Backend = ReduceBackend.get();
   }
-
-  // The task code is shared with `clfuzz sched`: a hunt campaign
-  // interleaved with others steps through exactly this path, so the
-  // reports match byte for byte.
   HuntCampaign C =
-      makeHuntCampaign(Spec, Opts.resolvedShardSize(), *Backend, stdout);
-  runCampaignTask(*C.Main);
+      makeHuntCampaign(*Spec, Opts.resolvedShardSize(), *Backend, stdout);
+  CampaignScheduler Sched(*Backend);
+  addHunt(Sched, "hunt", C);
+  int Exit = runSchedule(Sched);
   printCacheStats(A, Opts, "hunt");
-  return C.Main->exitCode();
+  return Exit;
+}
+
+/// `reduce` and `triage` evaluate every probe on one backend built
+/// from the reduce flags, with its own outcome cache; the report is
+/// backend-silent, byte-identical across --reduce-backend and
+/// --reduce-jobs.
+ExecOptions reduceCommandOptions(const CliArgs &A) {
+  ExecOptions Opts = reduceExecOptionsFrom(A);
+  // The descriptor-level cache subsumes the reducer's printed-form
+  // cache across rounds: a re-probed candidate (crash and timeout
+  // outcomes included) is answered without a fork.
+  applyCacheOptions(A, Opts);
+  return Opts;
+}
+
+int cmdReduce(const CliArgs &A) {
+  std::optional<ReduceSpec> Spec = reduceSpecFrom(A, "reduce");
+  if (!Spec)
+    return 2;
+  ExecOptions Opts = reduceCommandOptions(A);
+  std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
+  Spec->Opts.Backend = Backend.get();
+  std::unique_ptr<CampaignTask> Task = makeReduceTask(*Spec, stdout);
+  int Exit = runSolo(*Backend, "reduce", *Task);
+  printCacheStats(A, Opts, "reduce");
+  return Exit;
+}
+
+/// `clfuzz triage`: reduce one wrong-code witness, then bisect the
+/// optimisation pass pipeline for the minimal faulty pass combination
+/// and derive the witness's bug-cluster key (src/triage/,
+/// docs/triage.md).
+int cmdTriage(const CliArgs &A) {
+  std::optional<TriageSpec> Spec = triageSpecFrom(A, "triage");
+  if (!Spec)
+    return 2;
+  ExecOptions Opts = reduceCommandOptions(A);
+  std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
+  Spec->Opts.Backend = Backend.get();
+  std::unique_ptr<CampaignTask> Task = makeTriageTask(*Spec, stdout);
+  int Exit = runSolo(*Backend, "triage", *Task);
+  printCacheStats(A, Opts, "triage");
+  return Exit;
 }
 
 /// The multi-campaign driver: `clfuzz sched --campaigns=SPEC` parses
 /// a declaration list (sched/CampaignSpec.h grammar), builds one
-/// CampaignTask per declaration through the same factories the solo
+/// campaign per declaration through the spec builders the solo
 /// commands use, and multiplexes them over ONE shared backend via
 /// CampaignScheduler. Each campaign writes to its own stream
 /// (--out-dir=DIR files, or tmpfiles replayed to stdout in
@@ -697,58 +763,23 @@ int cmdSched(const CliArgs &A) {
   std::vector<std::unique_ptr<CampaignTask>> Tasks;
   for (size_t I = 0; I != Decls.size(); ++I) {
     const CampaignDecl &D = Decls[I];
-    // Declaration params reuse the solo flag names, so the spec
-    // builders below mirror cmdDiff/cmdHunt/cmdReduce exactly.
     CliArgs Sub;
     Sub.Command = D.Type;
     Sub.Options = D.Params;
+    std::string Who = "sched: campaign '" + D.Name + "'";
     std::FILE *Out = Files[I];
     unsigned ShardSize = static_cast<unsigned>(
         Sub.getInt("shard-size", Opts.resolvedShardSize()));
     if (D.Type == "diff") {
-      DiffSpec Spec;
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Gen = genOptionsFrom(Sub);
-      Tasks.push_back(makeDiffTask(Spec, *Backend, Out));
-      Sched.add(D.Name, *Tasks.back());
+      Tasks.push_back(makeDiffTask(diffSpecFrom(Sub), *Backend, Out));
     } else if (D.Type == "hunt") {
-      HuntSpec Spec;
-      Spec.ModeName = Sub.get("mode", "ALL");
-      Spec.Mode = modeByName(Spec.ModeName);
-      Spec.Seed = Sub.getInt("seed", 1);
-      Spec.Count = static_cast<unsigned>(Sub.getInt("count", 20));
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Reduce = Sub.has("reduce");
-      Spec.ReduceTracePath = Sub.get("reduce-trace");
-      Spec.Triage = Sub.has("triage");
-      if (Spec.Triage && !Spec.Reduce) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': triage needs reduce (it "
-                     "bisects *reduced* witnesses)\n",
-                     D.Name.c_str());
+      std::optional<HuntSpec> Spec = huntSpecFrom(Sub, Who);
+      if (!Spec)
         return 2;
-      }
-      Spec.TriageOut = Sub.get("triage-out");
-      Spec.TriageFormat = triageFormatFrom(Sub);
-      if (Spec.Reduce) {
-        // Scheduler-driven reduction: witnesses queue up and the
-        // Reduction-lane task drains them through the SHARED backend
-        // at elevated dispatch priority — no private threads, no
-        // private backend.
-        Spec.ReduceOpts.Backend = Backend.get();
-        Spec.ReduceOpts.DispatchPriority = 1;
-        Spec.ReduceOpts.Exec.Threads = 1;
-        Spec.ReduceOpts.MaxCandidates = static_cast<unsigned>(Sub.getInt(
-            "reduce-max", Spec.ReduceOpts.MaxCandidates));
-        if (Sub.has("no-pipeline"))
-          Spec.ReduceOpts.Pipeline = false;
-        Spec.ReduceWorkers = 0;
-      }
-      HuntCampaign C = makeHuntCampaign(Spec, ShardSize, *Backend, Out);
-      Sched.add(D.Name, *C.Main);
-      if (C.Lane)
-        Sched.add(D.Name + "/reduce", *C.Lane);
-      Hunts.push_back(std::move(C));
+      Spec->ReduceOpts.Backend = Backend.get();
+      Hunts.push_back(makeHuntCampaign(*Spec, ShardSize, *Backend, Out));
+      addHunt(Sched, D.Name, Hunts.back());
+      continue;
     } else if (D.Type == "emi") {
       EmiSpec Spec;
       Spec.Bases = static_cast<unsigned>(Sub.getInt("bases", Spec.Bases));
@@ -758,64 +789,23 @@ int cmdSched(const CliArgs &A) {
           static_cast<unsigned>(Sub.getInt("max-blocks", Spec.MaxBlocks));
       Spec.SeedBase = Sub.getInt("seed", Spec.SeedBase);
       Tasks.push_back(makeEmiTask(Spec, ShardSize, *Backend, Out));
-      Sched.add(D.Name, *Tasks.back());
     } else if (D.Type == "triage") {
-      if (!Sub.has("config")) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': config=ID is required\n",
-                     D.Name.c_str());
+      std::optional<TriageSpec> Spec = triageSpecFrom(Sub, Who);
+      if (!Spec)
         return 2;
-      }
-      TriageSpec Spec;
-      Spec.Gen = genOptionsFrom(Sub);
-      Spec.ConfigId = static_cast<int>(Sub.getInt("config", 0));
-      Spec.Opt = Sub.has("opt");
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Opts.Backend = Backend.get();
-      Spec.Opts.Exec.Threads = 1;
-      Spec.Opts.MaxCandidates = static_cast<unsigned>(
-          Sub.getInt("reduce-max", Spec.Opts.MaxCandidates));
-      if (Sub.has("no-pipeline"))
-        Spec.Opts.Pipeline = false;
-      Tasks.push_back(makeTriageTask(Spec, Out));
-      Sched.add(D.Name, *Tasks.back());
+      Spec->Opts.Backend = Backend.get();
+      Tasks.push_back(makeTriageTask(*Spec, Out));
     } else { // "reduce" — parseCampaignSpec validated the type
-      if (!Sub.has("config")) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': config=ID is required\n",
-                     D.Name.c_str());
+      std::optional<ReduceSpec> Spec = reduceSpecFrom(Sub, Who);
+      if (!Spec)
         return 2;
-      }
-      ReduceSpec Spec;
-      Spec.Expect = Sub.get("expect", "wrong");
-      if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
-          Spec.Expect != "timeout" && Spec.Expect != "build-failure") {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': unknown expect '%s' (use "
-                     "wrong, crash, timeout or build-failure)\n",
-                     D.Name.c_str(), Spec.Expect.c_str());
-        return 2;
-      }
-      Spec.Gen = genOptionsFrom(Sub);
-      Spec.ConfigId = static_cast<int>(Sub.getInt("config", 0));
-      Spec.Opt = Sub.has("opt");
-      Spec.TracePath = Sub.get("trace");
-      Spec.Opts.Backend = Backend.get();
-      Spec.Opts.Exec.Threads = 1;
-      Spec.Opts.MaxCandidates = static_cast<unsigned>(
-          Sub.getInt("reduce-max", Spec.Opts.MaxCandidates));
-      if (Sub.has("no-pipeline"))
-        Spec.Opts.Pipeline = false;
-      Tasks.push_back(makeReduceTask(Spec, Out));
-      Sched.add(D.Name, *Tasks.back());
+      Spec->Opts.Backend = Backend.get();
+      Tasks.push_back(makeReduceTask(*Spec, Out));
     }
+    Sched.add(D.Name, *Tasks.back());
   }
 
-  Sched.runToCompletion();
-
-  int Exit = 0;
-  for (const ScheduledCampaign &C : Sched.campaigns())
-    Exit = std::max(Exit, C.Task->exitCode());
+  int Exit = runSchedule(Sched);
 
   for (size_t I = 0; I != Decls.size(); ++I) {
     std::fflush(Files[I]);
@@ -941,11 +931,11 @@ int usage() {
       "  coalesced on stderr\n"
       "reduce: --expect=wrong|crash|timeout|build-failure\n"
       "  --reduce-backend=inline|threads|procs|remote --reduce-jobs=N\n"
-      "  --reduce-max=N --trace=FILE --no-pipeline\n"
-      "hunt --reduce: shrink witnesses in the background (--reduce-backend,\n"
-      "  --reduce-jobs=N concurrent reductions, --reduce-max=N,\n"
-      "  --reduce-trace=FILE, --no-pipeline; remote probes use\n"
-      "  --reduce-workers or --workers)\n"
+      "  (the reduce backend's workers) --reduce-max=N --trace=FILE\n"
+      "hunt --reduce: shrink witnesses between the hunt's shards on the\n"
+      "  campaign backend, or on --reduce-backend with --reduce-jobs=N\n"
+      "  workers; --reduce-max=N --reduce-trace=FILE; remote probes use\n"
+      "  --reduce-workers or --workers\n"
       "triage (and hunt --reduce --triage): bisect each reduced witness\n"
       "  over the optimization pass pipeline for the minimal faulty pass\n"
       "  combination; cluster by (pass set, feature signature) and report\n"

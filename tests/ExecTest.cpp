@@ -16,6 +16,7 @@
 
 #include "exec/ExecutionEngine.h"
 #include "device/DeviceConfig.h"
+#include "exec/ExecBackend.h"
 #include "oracle/Campaign.h"
 #include "oracle/Reducer.h"
 #include "support/Rng.h"
@@ -148,7 +149,7 @@ TEST(ExecutionEngineTest, PropagatesJobExceptions) {
   EXPECT_EQ(Sum.load(), 45u);
 }
 
-TEST(ExecutionEngineTest, RunBatchMatchesDirectDriverCalls) {
+TEST(ExecutionEngineTest, ThreadPoolRunMatchesDirectDriverCalls) {
   std::vector<DeviceConfig> Zoo = smallZoo();
   GenOptions GO;
   GO.Mode = GenMode::Barrier;
@@ -165,8 +166,8 @@ TEST(ExecutionEngineTest, RunBatchMatchesDirectDriverCalls) {
   Jobs.push_back(ExecJob::onReference(T, true, RunSettings()));
   Expected.push_back(runTestOnReference(T, true));
 
-  ExecutionEngine Engine(ExecOptions::withThreads(3));
-  std::vector<RunOutcome> Got = Engine.runBatch(Jobs);
+  ThreadPoolBackend Backend(ExecOptions::withThreads(3));
+  std::vector<RunOutcome> Got = Backend.run(Jobs);
   ASSERT_EQ(Got.size(), Expected.size());
   for (size_t I = 0; I != Got.size(); ++I) {
     EXPECT_EQ(Got[I].Status, Expected[I].Status) << "job " << I;

@@ -9,7 +9,7 @@
 // contract: the backend choice is unobservable in results. This suite
 // pins that the reduced source, every stat, and the full JSONL trace
 // are bit-identical across inline / threads(1,2,8) / procs at any
-// worker count, with pipelining on or off - plus the properties only
+// worker count - plus the properties only
 // the reducer provides: crashy-witness reduction to completion under
 // process isolation, multi-mutation escalation when single steps
 // stall, and the dead-work cache that skips duplicate candidates.
@@ -90,12 +90,10 @@ struct ReductionRun {
 
 ReductionRun runReduction(const TestCase &Witness,
                           const ReductionOracle &Oracle, ExecOptions Exec,
-                          bool Pipeline = true,
                           unsigned MaxCandidates = 400) {
   ReductionRun R;
   ReducerOptions Opts;
   Opts.Exec = Exec;
-  Opts.Pipeline = Pipeline;
   Opts.MaxCandidates = MaxCandidates;
   Opts.Trace = [&R](const ReduceTraceEvent &E) {
     R.Trace += renderReduceTraceJsonl(E);
@@ -120,7 +118,7 @@ void expectSameRun(const ReductionRun &A, const ReductionRun &B,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Bit-identity across backends, worker counts and pipelining
+// Bit-identity across backends and worker counts
 //===----------------------------------------------------------------------===//
 
 TEST(ReducerConformanceTest, ReductionIdenticalOnAllBackends) {
@@ -137,13 +135,9 @@ TEST(ReducerConformanceTest, ReductionIdenticalOnAllBackends) {
   EXPECT_NE(Reference.Reduced.Source.find("x, 1"), std::string::npos)
       << Reference.Reduced.Source;
 
-  for (const ExecOptions &Opts : reducerMatrix()) {
+  for (const ExecOptions &Opts : reducerMatrix())
     expectSameRun(Reference, runReduction(Witness, Oracle, Opts),
                   describe(Opts));
-    expectSameRun(Reference,
-                  runReduction(Witness, Oracle, Opts, /*Pipeline=*/false),
-                  describe(Opts) + "/no-pipeline");
-  }
 }
 
 TEST(ReducerConformanceTest, CandidateBudgetInvariantAcrossBackends) {
@@ -158,13 +152,12 @@ TEST(ReducerConformanceTest, CandidateBudgetInvariantAcrossBackends) {
   ReductionRun Reference =
       runReduction(Witness, Oracle,
                    ExecOptions::withBackend(BackendKind::Inline),
-                   /*Pipeline=*/true, /*MaxCandidates=*/7);
+                   /*MaxCandidates=*/7);
   EXPECT_LE(Reference.Stats.CandidatesTried, 7u);
 
   for (const ExecOptions &Opts : reducerMatrix())
     expectSameRun(Reference,
-                  runReduction(Witness, Oracle, Opts, /*Pipeline=*/true,
-                               /*MaxCandidates=*/7),
+                  runReduction(Witness, Oracle, Opts, /*MaxCandidates=*/7),
                   describe(Opts) + "/budget7");
 }
 
@@ -269,39 +262,49 @@ TEST(ReducerConformanceTest, SkipsDuplicateCandidates) {
 }
 
 TEST(ReducerConformanceTest, BackgroundQueueDrainsDeterministically) {
-  // The hunt's background reduction path: however many workers run
-  // the jobs and however they interleave, drain() must hand back the
-  // identical result list in the identical order.
+  // The hunt's reduction lane runs jobs in submission order; drain()
+  // must hand results back sorted by order key, each one identical to
+  // a direct reduction of its witness, whatever order they ran in.
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
+  DifferentialReductionOracle Oracle(configById(Registry, 19),
+                                     /*Opt=*/false);
   ReducerOptions Opts;
   Opts.MaxCandidates = 60;
 
-  auto RunQueue = [&](unsigned Workers) {
-    ReductionQueue Queue(Opts, Workers, /*CaptureTrace=*/true);
-    for (uint64_t Key : {30u, 10u, 20u}) {
-      ReductionJob Job;
-      Job.OrderKey = Key;
-      Job.Label = "witness " + std::to_string(Key);
-      Job.Witness = paddedCommaBugKernel();
-      Job.Oracle = std::make_shared<DifferentialReductionOracle>(
-          configById(Registry, 19), /*Opt=*/false);
-      Queue.submit(std::move(Job));
-    }
-    return Queue.drain();
-  };
+  ReductionQueue Queue(Opts, /*CaptureTrace=*/true);
+  for (uint64_t Key : {30u, 10u, 20u}) {
+    ReductionJob Job;
+    Job.OrderKey = Key;
+    Job.Label = "witness " + std::to_string(Key);
+    Job.Witness = paddedCommaBugKernel();
+    Job.Oracle = std::make_shared<DifferentialReductionOracle>(Oracle);
+    Queue.submit(std::move(Job));
+  }
+  // The lane's service loop: one job per call, until none is pending.
+  EXPECT_TRUE(Queue.runNextPending());
+  EXPECT_TRUE(Queue.hasPending());
+  while (Queue.runNextPending())
+    ;
+  EXPECT_FALSE(Queue.hasPending());
+  std::vector<ReductionResult> Drained = Queue.drain();
+  EXPECT_TRUE(Queue.drain().empty());
 
-  std::vector<ReductionResult> One = RunQueue(1);
-  std::vector<ReductionResult> Three = RunQueue(3);
-  ASSERT_EQ(One.size(), 3u);
-  ASSERT_EQ(Three.size(), 3u);
-  EXPECT_EQ(One[0].OrderKey, 10u);
-  EXPECT_EQ(One[2].OrderKey, 30u);
+  ReductionRun Direct = runReduction(
+      paddedCommaBugKernel(), Oracle,
+      ExecOptions::withBackend(BackendKind::Inline), /*MaxCandidates=*/60);
+  ASSERT_EQ(Drained.size(), 3u);
   for (size_t I = 0; I != 3; ++I) {
-    EXPECT_EQ(One[I].OrderKey, Three[I].OrderKey);
-    EXPECT_EQ(One[I].Label, Three[I].Label);
-    EXPECT_EQ(One[I].Reduced.Source, Three[I].Reduced.Source);
-    EXPECT_EQ(One[I].Trace, Three[I].Trace);
-    EXPECT_EQ(One[I].Stats.CandidatesTried, Three[I].Stats.CandidatesTried);
+    uint64_t Key = 10 * (I + 1);
+    EXPECT_EQ(Drained[I].OrderKey, Key);
+    EXPECT_EQ(Drained[I].Label, "witness " + std::to_string(Key));
+    EXPECT_TRUE(Drained[I].Error.empty()) << Drained[I].Error;
+    EXPECT_EQ(Drained[I].Reduced.Source, Direct.Reduced.Source);
+    EXPECT_EQ(Drained[I].Stats.CandidatesTried,
+              Direct.Stats.CandidatesTried);
+    EXPECT_NE(Drained[I].Trace.find("\"job\":\"witness " +
+                                    std::to_string(Key) + "\""),
+              std::string::npos)
+        << Drained[I].Trace;
   }
 }
 

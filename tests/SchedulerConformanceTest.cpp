@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
 using namespace clfuzz;
 
@@ -79,8 +80,8 @@ std::string describe(const ExecOptions &O) {
          std::to_string(O.Threads) + "w" + (O.Cache ? "/cache" : "");
 }
 
-/// Solo reference run of one campaign task through runCampaignTask —
-/// the exact loop the solo CLI commands execute.
+/// Solo reference run of one campaign task through runCampaignTask,
+/// the plain step loop.
 std::string soloDiff(ExecBackend &B) {
   std::FILE *F = std::tmpfile();
   std::unique_ptr<CampaignTask> T = makeDiffTask(diffSpec(), B, F);
@@ -274,6 +275,28 @@ TEST(SchedulerConformanceTest, YieldWeightedShiftsBudgetWithoutStarving) {
   EXPECT_EQ(Sched.campaigns()[0].Stats.Witnesses, Yielding.Done);
 }
 
+/// A campaign that waits on work no registered task will ever produce.
+class StalledTask final : public CampaignTask {
+public:
+  bool done() const override { return false; }
+  bool ready() const override { return false; }
+  void step() override { ADD_FAILURE() << "stepped a not-ready task"; }
+};
+
+TEST(SchedulerConformanceTest, StallThrowsInsteadOfSpinning) {
+  // A hunt whose reduction lane was never registered looks like this:
+  // nothing is ready and nothing is done. That is a wiring bug, and
+  // the grant loop must say so rather than report progress forever.
+  StalledTask Stalled;
+  ExecOptions O;
+  std::unique_ptr<ExecBackend> Backend = makeBackend(O);
+  CampaignScheduler Sched(*Backend);
+  Sched.add("stalled", Stalled);
+  EXPECT_THROW(Sched.stepOnce(), std::logic_error);
+  EXPECT_THROW(runCampaignTask(Stalled), std::logic_error);
+  EXPECT_TRUE(Sched.allocationTrace().empty());
+}
+
 //===----------------------------------------------------------------------===//
 // The tentpole: interleaved == solo, byte for byte
 //===----------------------------------------------------------------------===//
@@ -421,41 +444,46 @@ TEST(SchedulerConformanceTest, FleetCountersSumPerCampaignToGlobal) {
 #endif // unix
 
 //===----------------------------------------------------------------------===//
-// The reduction lane vs the solo threaded queue
+// The reduction lane: its own backend or a shared one, same report
 //===----------------------------------------------------------------------===//
 
-TEST(SchedulerConformanceTest, ReductionLaneMatchesSoloThreadedQueue) {
+TEST(SchedulerConformanceTest, ReduceBackendScheduleMatchesSharedLane) {
   HuntSpec Spec = huntSpec();
   Spec.Seed = 1016; // known wrong-code seed in BASIC
   Spec.Count = 1;
   Spec.Reduce = true;
   Spec.ReduceOpts.MaxCandidates = 20;
+  Spec.ReduceOpts.DispatchPriority = 1;
 
-  // Solo: the historical mode, background reduction threads with a
-  // private per-job backend. Same backend kind as the scheduled run,
-  // since the hunt summary names it.
+  // Solo `hunt --reduce --reduce-backend=procs`: a one-campaign
+  // schedule whose lane reduces on a dedicated backend. Same campaign
+  // backend kind as the shared run below, since the hunt summary
+  // names it.
   ExecOptions RefO = ExecOptions::withBackend(BackendKind::Threads, 2);
   std::unique_ptr<ExecBackend> RefB = makeBackend(RefO);
+  std::unique_ptr<ExecBackend> ReduceB =
+      makeBackend(ExecOptions::withBackend(BackendKind::Procs, 2));
   HuntSpec SoloSpec = Spec;
-  SoloSpec.ReduceOpts.Exec = ExecOptions::withThreads(1);
-  SoloSpec.ReduceWorkers = 2;
+  SoloSpec.ReduceOpts.Backend = ReduceB.get();
   std::FILE *FS = std::tmpfile();
   HuntCampaign Solo =
       makeHuntCampaign(SoloSpec, RefO.resolvedShardSize(), *RefB, FS);
-  runCampaignTask(*Solo.Main);
+  ASSERT_NE(Solo.Lane, nullptr);
+  CampaignScheduler SoloSched(*RefB);
+  SoloSched.add("h", *Solo.Main);
+  SoloSched.add("h/reduce", *Solo.Lane);
+  SoloSched.runToCompletion();
   std::string Want = readAll(FS);
   ASSERT_NE(Want.find("wrong code"), std::string::npos);
   ASSERT_NE(Want.find("reduced in the background"), std::string::npos);
+  EXPECT_EQ(Want.find("reduction failed"), std::string::npos) << Want;
 
-  // Scheduled: reductions drain through the Reduction lane on the
-  // SHARED backend at elevated dispatch priority, interleaved with a
-  // second campaign.
+  // Shared: reductions drain through the Reduction lane on the
+  // campaign's own backend, interleaved with a second campaign.
   ExecOptions O = ExecOptions::withBackend(BackendKind::Threads, 2);
   std::unique_ptr<ExecBackend> B = makeBackend(O);
   HuntSpec SchedSpec = Spec;
   SchedSpec.ReduceOpts.Backend = B.get();
-  SchedSpec.ReduceOpts.DispatchPriority = 1;
-  SchedSpec.ReduceWorkers = 0;
   std::FILE *FH = std::tmpfile(), *FD = std::tmpfile();
   HuntCampaign H =
       makeHuntCampaign(SchedSpec, O.resolvedShardSize(), *B, FH);
@@ -467,8 +495,10 @@ TEST(SchedulerConformanceTest, ReductionLaneMatchesSoloThreadedQueue) {
   Sched.add("d", *D);
   Sched.runToCompletion();
   EXPECT_EQ(readAll(FH), Want);
-  // The lane actually serviced the queue (one job per wrong cell).
-  EXPECT_GT(Sched.campaigns()[1].Stats.Jobs, 0u);
+  // Both lanes actually serviced their queues (one job per wrong cell).
+  EXPECT_GT(SoloSched.campaigns()[1].Stats.Jobs, 0u);
+  EXPECT_EQ(Sched.campaigns()[1].Stats.Jobs,
+            SoloSched.campaigns()[1].Stats.Jobs);
   readAll(FD);
 }
 

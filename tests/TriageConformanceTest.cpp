@@ -22,8 +22,8 @@
 //    outcome cache off, in-memory, disk-cold and disk-warm;
 //  * clustering stability over a 100-seed sweep (one injected bug =>
 //    one cluster; distinct injected bugs => distinct clusters);
-//  * triage riding the ReductionQueue identically in scheduler-driven
-//    and threaded modes;
+//  * triage riding the ReductionQueue identically on every candidate
+//    and probe backend;
 //  * a remote fleet with a worker killed mid-run (--die-after-jobs)
 //    still producing the byte-identical report.
 //
@@ -365,19 +365,18 @@ TEST(TriageConformanceTest, ClusteringIsStableOverHundredSeedSweep) {
 }
 
 //===----------------------------------------------------------------------===//
-// Triage through the ReductionQueue, in both queue modes
+// Triage through the ReductionQueue
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Reduces + triages the padded shift witness through a ReductionQueue
-/// configured with \p Exec and \p Workers, returning the full
-/// observable report.
-std::string reduceAndTriage(const DeviceConfig &C, const ExecOptions &Exec,
-                            unsigned Workers) {
+/// whose jobs evaluate on a backend built from \p Exec, returning the
+/// full observable report.
+std::string reduceAndTriage(const DeviceConfig &C, const ExecOptions &Exec) {
   ReducerOptions RO;
   RO.Exec = Exec;
-  ReductionQueue Q(RO, Workers);
+  ReductionQueue Q(RO);
   ReductionJob J;
   J.OrderKey = 0;
   J.Label = "padded shift";
@@ -385,12 +384,10 @@ std::string reduceAndTriage(const DeviceConfig &C, const ExecOptions &Exec,
   J.Oracle = std::make_shared<DifferentialReductionOracle>(C, false);
   J.Triage = TriageRequest{C, false};
   Q.submit(std::move(J));
-  if (Workers == 0) {
-    // Scheduler-driven mode: the caller's thread services the queue,
-    // exactly like the scheduler's reduction lane.
-    while (Q.runNextPending())
-      ;
-  }
+  // The caller's thread services the queue, exactly like the
+  // scheduler's reduction lane.
+  while (Q.runNextPending())
+    ;
   std::vector<ReductionResult> Results = Q.drain();
   if (Results.size() != 1)
     return "wrong result count";
@@ -406,27 +403,20 @@ std::string reduceAndTriage(const DeviceConfig &C, const ExecOptions &Exec,
 
 TEST(TriageConformanceTest, QueueModesAndBackendsAgreeOnTriage) {
   DeviceConfig C = faultConfig(908, true, false, false, false);
-  std::string Expected = reduceAndTriage(
-      C, ExecOptions::withBackend(BackendKind::Inline), /*Workers=*/0);
+  std::string Expected =
+      reduceAndTriage(C, ExecOptions::withBackend(BackendKind::Inline));
   ASSERT_EQ(Expected.rfind("reduction failed", 0), std::string::npos)
       << Expected;
 
-  // Threaded queue (the solo `hunt --reduce --triage` mode), several
-  // worker counts, and the candidate/probe backends of the matrix.
-  for (unsigned Workers : {1u, 2u})
-    EXPECT_EQ(reduceAndTriage(
-                  C, ExecOptions::withBackend(BackendKind::Inline), Workers),
-              Expected)
-        << Workers << " queue workers";
+  // The candidate/probe backends of the matrix.
   for (unsigned Threads : {1u, 2u, 8u})
-    EXPECT_EQ(
-        reduceAndTriage(
-            C, ExecOptions::withBackend(BackendKind::Threads, Threads), 1),
-        Expected)
+    EXPECT_EQ(reduceAndTriage(
+                  C, ExecOptions::withBackend(BackendKind::Threads, Threads)),
+              Expected)
         << "threads/" << Threads;
-  EXPECT_EQ(reduceAndTriage(
-                C, ExecOptions::withBackend(BackendKind::Procs, 2), 1),
-            Expected)
+  EXPECT_EQ(
+      reduceAndTriage(C, ExecOptions::withBackend(BackendKind::Procs, 2)),
+      Expected)
       << "procs/2";
 }
 
@@ -440,8 +430,8 @@ TEST(TriageConformanceTest, QueueModesAndBackendsAgreeOnTriage) {
 
 TEST(TriageConformanceTest, RemoteWorkerDeathMidRunIsByteIdentical) {
   DeviceConfig C = faultConfig(909, true, false, false, false);
-  std::string Expected = reduceAndTriage(
-      C, ExecOptions::withBackend(BackendKind::Inline), /*Workers=*/0);
+  std::string Expected =
+      reduceAndTriage(C, ExecOptions::withBackend(BackendKind::Inline));
   ASSERT_EQ(Expected.rfind("reduction failed", 0), std::string::npos)
       << Expected;
 
@@ -463,7 +453,7 @@ TEST(TriageConformanceTest, RemoteWorkerDeathMidRunIsByteIdentical) {
                           "127.0.0.1:" + std::to_string(W2.port())};
   Remote.RemoteHeartbeatMs = 2000;
 
-  EXPECT_EQ(reduceAndTriage(C, Remote, /*Workers=*/1), Expected);
+  EXPECT_EQ(reduceAndTriage(C, Remote), Expected);
   EXPECT_TRUE(W2.died()) << "fault injection never tripped";
 
   W1.stop();
