@@ -12,14 +12,16 @@
 /// optimised configuration run per column), executed with no outcome
 /// cache through `runColumns(groupIntoColumns(...))` — exactly the
 /// path `runShardedCampaign` drives — so dispatch strategy,
-/// superinstruction fusion, per-thread engine reuse and column
-/// front-end sharing all contribute.
+/// superinstruction fusion, per-thread engine reuse, column front-end
+/// sharing and the column launch memo (each distinct device binary
+/// runs once per column; every column repeats the same reference run)
+/// all contribute.
 ///
 /// Phases: {switch, goto} dispatch × {serial inline, thread pool}.
 /// Every phase is checked outcome-identical to the first (the knobs
 /// must change wall-clock only), and per-phase VM counter deltas
-/// (instructions, fused dispatches, launches, engine reuses) are
-/// reported.
+/// (instructions, fused dispatches, launches, engine reuses, launches
+/// the memo served) are reported.
 ///
 /// Emits machine-readable `BENCH_vm.json`, including the frozen
 /// pre-fast-path baseline measured at the seed commit on this same
@@ -69,6 +71,7 @@ VmCounters counterDelta(const VmCounters &After, const VmCounters &Before) {
   D.FusedExecuted = After.FusedExecuted - Before.FusedExecuted;
   D.Launches = After.Launches - Before.Launches;
   D.EngineReuses = After.EngineReuses - Before.EngineReuses;
+  D.SharedLaunches = After.SharedLaunches - Before.SharedLaunches;
   return D;
 }
 
@@ -135,9 +138,9 @@ int main(int Argc, char **Argv) {
               "uncached, fusion=%s, threads phase = %u workers\n\n",
               Kernels, Columns.size(), Jobs.size(),
               vmFusionEnabled() ? "on" : "off", Threads);
-  std::printf("%-8s %-8s %10s %14s %16s %12s %10s  %s\n", "dispatch",
-              "sched", "seconds", "cells/sec", "instructions", "fused",
-              "reuses", "result");
+  std::printf("%-8s %-8s %10s %14s %16s %12s %10s %10s  %s\n",
+              "dispatch", "sched", "seconds", "cells/sec", "instructions",
+              "fused", "reuses", "shared", "result");
   printRule();
 
   VmDispatch SavedDispatch = vmDispatchMode();
@@ -173,11 +176,12 @@ int main(int Argc, char **Argv) {
         AllIdentical = false;
 
       std::printf(
-          "%-8s %-8s %10.3f %14.1f %16llu %12llu %10llu  %s\n",
+          "%-8s %-8s %10.3f %14.1f %16llu %12llu %10llu %10llu  %s\n",
           P.Dispatch.c_str(), P.Sched.c_str(), P.Seconds, P.CellsPerSec,
           static_cast<unsigned long long>(P.Delta.Instructions),
           static_cast<unsigned long long>(P.Delta.FusedExecuted),
           static_cast<unsigned long long>(P.Delta.EngineReuses),
+          static_cast<unsigned long long>(P.Delta.SharedLaunches),
           Phases.empty() ? "baseline for identity"
                          : (AllIdentical ? "identical" : "MISMATCH"));
       Phases.push_back(std::move(P));
@@ -220,13 +224,15 @@ int main(int Argc, char **Argv) {
                  "%s{\"dispatch\":\"%s\",\"sched\":\"%s\","
                  "\"seconds\":%.6f,\"cells_per_sec\":%.1f,"
                  "\"instructions\":%llu,\"fused\":%llu,"
-                 "\"launches\":%llu,\"engine_reuses\":%llu}",
+                 "\"launches\":%llu,\"engine_reuses\":%llu,"
+                 "\"launches_shared\":%llu}",
                  I ? "," : "", P.Dispatch.c_str(), P.Sched.c_str(),
                  P.Seconds, P.CellsPerSec,
                  static_cast<unsigned long long>(P.Delta.Instructions),
                  static_cast<unsigned long long>(P.Delta.FusedExecuted),
                  static_cast<unsigned long long>(P.Delta.Launches),
-                 static_cast<unsigned long long>(P.Delta.EngineReuses));
+                 static_cast<unsigned long long>(P.Delta.EngineReuses),
+                 static_cast<unsigned long long>(P.Delta.SharedLaunches));
   }
   std::fprintf(J,
                "],\"serial_speedup_vs_baseline\":%.2f,"

@@ -18,6 +18,7 @@
 #include "vm/VM.h"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -256,12 +257,148 @@ PassOptions passPipelineOptions(const DeviceBugModel &Bugs,
   return PO;
 }
 
+/// Steps 6 and 7 of compileAndRun: builds the host buffers, launches
+/// \p Module and reads back the printed result. Everything a launch
+/// depends on beyond the test itself is in \p Settings and \p LO.
+RunOutcome launchAndReadBack(const TestCase &Test,
+                             const CompiledModule &Module,
+                             const RunSettings &Settings,
+                             const LaunchOptions &LO) {
+  RunOutcome Out;
+  std::vector<Buffer> Buffers;
+  int OutIndex = -1;
+  for (const BufferSpec &Spec : Test.Buffers) {
+    Buffer B;
+    B.Space = Spec.Space;
+    B.Bytes = Spec.InitBytes;
+    if (Spec.IsDeadArray && Settings.InvertDead) {
+      // dead[j] = d-1-j makes every EMI guard true.
+      size_t N = B.Bytes.size() / 4;
+      for (size_t J = 0; J != N; ++J) {
+        int32_t V = static_cast<int32_t>(N - 1 - J);
+        std::memcpy(&B.Bytes[J * 4], &V, 4);
+      }
+    }
+    if (Spec.IsOutput)
+      OutIndex = static_cast<int>(Buffers.size());
+    Buffers.push_back(std::move(B));
+  }
+  std::vector<KernelArg> Args;
+  for (unsigned I = 0; I != Buffers.size(); ++I)
+    Args.push_back(KernelArg::buffer(I));
+
+  LaunchResult LR = [&] {
+    PhaseTimer T(CompilePhase::Exec);
+    return launchKernel(Module, Buffers, Args, LO);
+  }();
+  Out.Steps = LR.StepsExecuted;
+  Out.RaceFound = LR.RaceFound;
+  Out.RaceMessage = LR.RaceMessage;
+  switch (LR.Status) {
+  case LaunchStatus::Success:
+    break;
+  case LaunchStatus::Timeout:
+    Out.Status = RunStatus::Timeout;
+    Out.Message = LR.Message;
+    return Out;
+  case LaunchStatus::Trap:
+  case LaunchStatus::BarrierDivergence:
+  case LaunchStatus::InvalidLaunch:
+    Out.Status = RunStatus::Crash;
+    Out.Message = LR.Message;
+    return Out;
+  }
+
+  // --- 7. read back the printed result
+  Out.Status = RunStatus::Ok;
+  if (OutIndex >= 0) {
+    const Buffer &OB = Buffers[OutIndex];
+    Out.OutputHash = fnv64(OB.Bytes.data(), OB.Bytes.size());
+    size_t Words = OB.Bytes.size() / 8;
+    for (size_t I = 0; I != std::min<size_t>(Words, 8); ++I)
+      Out.OutputHead.push_back(OB.readScalar(I * 8, 8));
+  }
+  return Out;
+}
+
+/// A type as the VM sees it: kind, scalar kind, lane count, and the
+/// address space of a pointer. Types are compared structurally because
+/// each cell's module points into its own cloned ASTContext. 0xffff
+/// encodes a null type.
+uint16_t vmTypeCode(const Type *Ty) {
+  if (!Ty)
+    return 0xffff;
+  uint16_t Code = static_cast<uint16_t>(Ty->getKind()); // bits 0-2
+  if (const auto *ST = dyn_cast<ScalarType>(Ty)) {
+    Code |= static_cast<uint16_t>(ST->getScalarKind()) << 3; // bits 3-6
+  } else if (const auto *VT = dyn_cast<VectorType>(Ty)) {
+    Code |= static_cast<uint16_t>(VT->getElementType()->getScalarKind())
+            << 3;
+    Code |= static_cast<uint16_t>(VT->getNumLanes()) << 7; // bits 7-11
+  } else if (const auto *PT = dyn_cast<PointerType>(Ty)) {
+    Code |= static_cast<uint16_t>(PT->getAddressSpace()) << 12;
+  }
+  return Code;
+}
+
+/// The exact LaunchMemo key of launching \p M under \p Settings and
+/// \p LO, minus the step budget (see LaunchMemo).
+std::string launchMemoKey(const CompiledModule &M,
+                          const RunSettings &Settings,
+                          const LaunchOptions &LO) {
+  constexpr size_t InsnBytes = 1 + 4 + 4 + 8 + 2;
+  constexpr size_t ParamBytes = 8 + 2;
+  constexpr size_t FunctionBytes = 8 + 8 + 8;
+  constexpr size_t HeaderBytes = 4 + 8 + 4 + 8 + 1 + 1 + 6 * 4 + 8 + 4 + 4;
+  size_t Size = HeaderBytes;
+  for (const CompiledFunction &F : M.Functions)
+    Size += FunctionBytes + F.Params.size() * ParamBytes +
+            F.Code.size() * InsnBytes;
+  std::string Key(Size, '\0');
+  char *At = Key.data();
+  auto Put = [&At](auto V) {
+    std::memcpy(At, &V, sizeof V);
+    At += sizeof V;
+  };
+  Put(static_cast<uint32_t>(M.KernelIndex));
+  Put(M.LocalArenaSize);
+  Put(static_cast<uint32_t>(M.NumBarrierSites));
+  Put(Settings.SchedulerSeed);
+  Put(static_cast<uint8_t>(Settings.InvertDead));
+  Put(static_cast<uint8_t>(Settings.DetectRaces));
+  for (int D = 0; D != 3; ++D) {
+    Put(LO.Range.Global[D]);
+    Put(LO.Range.Local[D]);
+  }
+  Put(LO.PrivateArenaSize);
+  Put(static_cast<uint32_t>(LO.MaxCallDepth));
+  Put(static_cast<uint32_t>(M.Functions.size()));
+  for (const CompiledFunction &F : M.Functions) {
+    Put(F.FrameSize);
+    Put(static_cast<uint64_t>(F.Params.size()));
+    Put(static_cast<uint64_t>(F.Code.size()));
+    for (const CompiledParam &P : F.Params) {
+      Put(P.FrameOffset);
+      Put(vmTypeCode(P.Ty));
+    }
+    for (const Insn &I : F.Code) {
+      Put(static_cast<uint8_t>(I.Opcode));
+      Put(I.A);
+      Put(I.B);
+      Put(I.Imm);
+      Put(vmTypeCode(I.Ty));
+    }
+  }
+  assert(At == Key.data() + Key.size() && "key size mismatch");
+  return Key;
+}
+
 RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
                          bool RunOptimizer, bool OptFlagForLottery,
                          uint64_t Salt,
                          const std::vector<std::string> &IceMessages,
                          const RunSettings &Settings,
-                         const TestFrontEnd *SharedFE) {
+                         const TestFrontEnd *SharedFE, LaunchMemo *Memo) {
   RunOutcome Out;
   uint64_t SourceHash = fnv64(Test.Source);
   // Geometry hash: identical across EMI variants of one base. Crash
@@ -402,29 +539,8 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
     return Out;
   }
 
-  // --- 6. host setup and launch
-  std::vector<Buffer> Buffers;
-  int OutIndex = -1;
-  for (const BufferSpec &Spec : Test.Buffers) {
-    Buffer B;
-    B.Space = Spec.Space;
-    B.Bytes = Spec.InitBytes;
-    if (Spec.IsDeadArray && Settings.InvertDead) {
-      // dead[j] = d-1-j makes every EMI guard true.
-      size_t N = B.Bytes.size() / 4;
-      for (size_t J = 0; J != N; ++J) {
-        int32_t V = static_cast<int32_t>(N - 1 - J);
-        std::memcpy(&B.Bytes[J * 4], &V, 4);
-      }
-    }
-    if (Spec.IsOutput)
-      OutIndex = static_cast<int>(Buffers.size());
-    Buffers.push_back(std::move(B));
-  }
-  std::vector<KernelArg> Args;
-  for (unsigned I = 0; I != Buffers.size(); ++I)
-    Args.push_back(KernelArg::buffer(I));
-
+  // --- 6. host setup and launch, unless the column's launch memo
+  // already holds this exact launch.
   LaunchOptions LO;
   LO.Range = Test.Range;
   LO.SchedulerSeed = Settings.SchedulerSeed;
@@ -433,38 +549,15 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
       static_cast<double>(Settings.BaseStepBudget) * Bugs.SpeedFactor);
   if (LO.StepBudget == 0)
     LO.StepBudget = 1;
-
-  LaunchResult LR = [&] {
-    PhaseTimer T(CompilePhase::Exec);
-    return launchKernel(CR.Module, Buffers, Args, LO);
-  }();
-  Out.Steps = LR.StepsExecuted;
-  Out.RaceFound = LR.RaceFound;
-  Out.RaceMessage = LR.RaceMessage;
-  switch (LR.Status) {
-  case LaunchStatus::Success:
-    break;
-  case LaunchStatus::Timeout:
-    Out.Status = RunStatus::Timeout;
-    Out.Message = LR.Message;
-    return Out;
-  case LaunchStatus::Trap:
-  case LaunchStatus::BarrierDivergence:
-  case LaunchStatus::InvalidLaunch:
-    Out.Status = RunStatus::Crash;
-    Out.Message = LR.Message;
-    return Out;
+  if (!Memo)
+    return launchAndReadBack(Test, CR.Module, Settings, LO);
+  std::string Key = launchMemoKey(CR.Module, Settings, LO);
+  if (const RunOutcome *Hit = Memo->find(Key, LO.StepBudget)) {
+    countSharedLaunch();
+    return *Hit;
   }
-
-  // --- 7. read back the printed result
-  Out.Status = RunStatus::Ok;
-  if (OutIndex >= 0) {
-    const Buffer &OB = Buffers[OutIndex];
-    Out.OutputHash = fnv64(OB.Bytes.data(), OB.Bytes.size());
-    size_t Words = OB.Bytes.size() / 8;
-    for (size_t I = 0; I != std::min<size_t>(Words, 8); ++I)
-      Out.OutputHead.push_back(OB.readScalar(I * 8, 8));
-  }
+  Out = launchAndReadBack(Test, CR.Module, Settings, LO);
+  Memo->record(std::move(Key), LO.StepBudget, Out);
   return Out;
 }
 
@@ -534,11 +627,12 @@ RunOutcome clfuzz::runTestOnConfig(const TestCase &Test,
                                    const DeviceConfig &Config,
                                    bool OptEnabled,
                                    const RunSettings &Settings,
-                                   const TestFrontEnd *SharedFE) {
+                                   const TestFrontEnd *SharedFE,
+                                   LaunchMemo *Memo) {
   const DeviceBugModel &Bugs = Config.bugs(OptEnabled);
   bool RunOptimizer = OptEnabled && !Config.NoOptimizer;
   return compileAndRun(Test, Bugs, RunOptimizer, OptEnabled, Config.Salt,
-                       Config.IceMessages, Settings, SharedFE);
+                       Config.IceMessages, Settings, SharedFE, Memo);
 }
 
 PassOptions clfuzz::passPipelineOptionsFor(const DeviceConfig &Config,
@@ -552,9 +646,27 @@ PassOptions clfuzz::passPipelineOptionsFor(const DeviceConfig &Config,
 
 RunOutcome clfuzz::runTestOnReference(const TestCase &Test, bool Optimize,
                                       const RunSettings &Settings,
-                                      const TestFrontEnd *SharedFE) {
+                                      const TestFrontEnd *SharedFE,
+                                      LaunchMemo *Memo) {
   DeviceBugModel Clean;
   Clean.SpeedFactor = 16.0; // a fast, reliable host
   return compileAndRun(Test, Clean, Optimize, Optimize,
-                       /*Salt=*/0, {}, Settings, SharedFE);
+                       /*Salt=*/0, {}, Settings, SharedFE, Memo);
+}
+
+const RunOutcome *LaunchMemo::find(const std::string &Key,
+                                   uint64_t Budget) const {
+  auto It = Entries.find(Key);
+  if (It == Entries.end())
+    return nullptr;
+  const Entry &E = It->second;
+  if (Budget == E.Budget ||
+      (E.Out.Status != RunStatus::Timeout && E.Out.Steps <= Budget))
+    return &E.Out;
+  return nullptr;
+}
+
+void LaunchMemo::record(std::string Key, uint64_t Budget,
+                        const RunOutcome &Out) {
+  Entries.insert_or_assign(std::move(Key), Entry{Budget, Out});
 }

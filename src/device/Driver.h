@@ -26,6 +26,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace clfuzz {
@@ -160,21 +161,59 @@ FrontEndUse frontEndUseFor(const DeviceConfig *Config, bool OptEnabled);
 bool compileCloneEnabled();
 void setCompileCloneEnabled(bool Enabled);
 
+/// The VM launches already run by the cells of one campaign column,
+/// keyed by the exact device binary and launch inputs. A launch is a
+/// pure function of (module, buffers, geometry, scheduler seed, race
+/// detection, step budget), and most cells of a column compile the
+/// kernel to the same bytecode, so a cell whose launch the column has
+/// already run takes the stored outcome instead of entering the VM.
+///
+/// The key (built by the driver) holds the whole CompiledModule —
+/// every instruction with its type encoded structurally, params, frame
+/// sizes and launch metadata — plus InvertDead, the scheduler seed,
+/// race detection, the NDRange and the engine's arena and call-depth
+/// limits. The step budget is not part of the key: an entry records
+/// the budget B0 it ran under and serves a cell with budget B when
+/// B == B0, or when the stored run did not time out and its step count
+/// S <= B (a run that ends in S steps is identical under any budget
+/// >= S; docs/vm.md has the proof). Serving is observationally
+/// identical to launching. Not thread-safe; share one memo only among
+/// runs of one TestCase (the buffers are not part of the key).
+class LaunchMemo {
+public:
+  /// The outcome stored for \p Key if it holds under \p Budget, else
+  /// null.
+  const RunOutcome *find(const std::string &Key, uint64_t Budget) const;
+  /// Stores (or replaces) \p Key's outcome, launched under \p Budget.
+  void record(std::string Key, uint64_t Budget, const RunOutcome &Out);
+
+private:
+  struct Entry {
+    uint64_t Budget;
+    RunOutcome Out;
+  };
+  std::unordered_map<std::string, Entry> Entries;
+};
+
 /// Compiles and runs \p Test on \p Config with optimisations
 /// enabled/disabled. \p SharedFE, when non-null, supplies the parsed
 /// front end, read or cloned per frontEndUseFor; otherwise the source
-/// is re-parsed (byte-identical outcome either way).
+/// is re-parsed (byte-identical outcome either way). \p Memo, when
+/// non-null, serves the launch if an earlier run of \p Test recorded
+/// an identical one, and records this run's launch otherwise.
 RunOutcome runTestOnConfig(const TestCase &Test,
                            const DeviceConfig &Config, bool OptEnabled,
                            const RunSettings &Settings = RunSettings(),
-                           const TestFrontEnd *SharedFE = nullptr);
+                           const TestFrontEnd *SharedFE = nullptr,
+                           LaunchMemo *Memo = nullptr);
 
 /// Reference run: no bug models, optimisations optional. Used by
 /// tests, the EMI machinery and the reducer as a well-tested baseline
 /// (the analogue of a trusted Oclgrind build).
 RunOutcome runTestOnReference(const TestCase &Test, bool Optimize,
                               const RunSettings &Settings = RunSettings(),
-                              const TestFrontEnd *SharedFE = nullptr);
+                              const TestFrontEnd *SharedFE = nullptr,
+                              LaunchMemo *Memo = nullptr);
 
 /// The exact PassOptions the driver would hand buildPipeline for a
 /// run of \p Test on \p Config at \p OptEnabled — the single source

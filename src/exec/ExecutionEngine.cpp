@@ -84,6 +84,11 @@ std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
   // whose every cell runs the optimiser (or an AST-mutating bug pass)
   // never pay the parse.
   std::unique_ptr<TestFrontEnd> FE;
+  // The column's launch memo: cells compiling the kernel to a binary
+  // an earlier cell already ran take its outcome instead of entering
+  // the VM. A one-cell column has nothing to share and builds no key.
+  LaunchMemo Memo;
+  LaunchMemo *SharedMemo = Column.Jobs.size() > 1 ? &Memo : nullptr;
   for (const ExecJob &J : Column.Jobs) {
     assert(J.Test == Column.Jobs.front().Test &&
            "column cells must share one test");
@@ -102,9 +107,9 @@ std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
     }
     Out.push_back(J.Config
                       ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
-                                        J.Settings, Shared)
+                                        J.Settings, Shared, SharedMemo)
                       : runTestOnReference(*J.Test, J.Opt, J.Settings,
-                                           Shared));
+                                           Shared, SharedMemo));
   }
   return Out;
 }

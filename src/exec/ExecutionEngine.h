@@ -195,8 +195,11 @@ std::vector<ExecColumn> groupIntoColumns(const std::vector<ExecJob> &Jobs);
 
 /// Executes one column on the calling thread, sharing a lazily built
 /// TestFrontEnd across the cells frontEndUseFor admits (read or
-/// clone). Outcomes are in job order and byte-identical to per-cell
-/// runExecJob calls.
+/// clone), and one LaunchMemo across every cell of a multi-cell
+/// column, so each distinct device binary runs on the VM once per
+/// column (per step budget that tells them apart). Outcomes are in
+/// job order and byte-identical to per-cell runExecJob calls, which
+/// share nothing.
 std::vector<RunOutcome> runExecColumn(const ExecColumn &Column);
 
 /// The thread pool. Workers are spawned once in the constructor and

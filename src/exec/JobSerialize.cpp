@@ -227,12 +227,23 @@ TestCase readTest(WireReader &R) {
     T.Range.Global[D] = R.u32();
   for (int D = 0; D != 3; ++D)
     T.Range.Local[D] = R.u32();
+  // The geometry sizes the executing worker's thread contexts: reject
+  // it before anything runs, not as an InvalidLaunch after the fact.
+  if (!T.Range.valid())
+    throw std::runtime_error("test geometry: zero or non-dividing sizes");
+  if (T.Range.localLinear() > MaxDecodedWorkGroupSize)
+    throw std::runtime_error("test geometry: work-group of " +
+                             std::to_string(T.Range.localLinear()) +
+                             " work-items exceeds the limit");
   // Space + InitBytes length + two flags.
   uint32_t NumBuffers = R.count(7);
   T.Buffers.reserve(NumBuffers);
   for (uint32_t I = 0; I != NumBuffers; ++I) {
     BufferSpec B;
-    B.Space = static_cast<AddressSpace>(R.u8());
+    uint8_t Space = R.u8();
+    if (Space > static_cast<uint8_t>(AddressSpace::Constant))
+      throw std::runtime_error("buffer address space out of range");
+    B.Space = static_cast<AddressSpace>(Space);
     B.InitBytes = R.bytes();
     B.IsDeadArray = R.u8();
     B.IsOutput = R.u8();

@@ -78,6 +78,13 @@ private:
   const uint8_t *End;
 };
 
+/// The largest work-group (product of the three local sizes) a decoded
+/// test may request. The VM allocates one thread context per work-item
+/// of a group, so an unchecked local size is an allocation on demand.
+/// In-tree producers stay far below it: the generator caps groups at
+/// GenOptions::MaxGroupSize (256) and the corpus at 64.
+constexpr uint64_t MaxDecodedWorkGroupSize = 4096;
+
 /// An ExecJob reconstructed from the wire: owns its test case and
 /// configuration storage (ExecJob itself only holds pointers).
 struct OwnedExecJob {

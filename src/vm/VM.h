@@ -180,8 +180,13 @@ struct VmCounters {
   uint64_t FusedExecuted = 0; ///< superinstruction dispatches (pair = 1)
   uint64_t Launches = 0;      ///< kernel launches executed
   uint64_t EngineReuses = 0;  ///< launches served by a reused engine
+  /// Launches a column's LaunchMemo (device/Driver.h) served without
+  /// entering the VM; not included in Launches.
+  uint64_t SharedLaunches = 0;
 };
 VmCounters vmCounters();
+/// Counts one launch served by a LaunchMemo.
+void countSharedLaunch();
 
 //===----------------------------------------------------------------------===//
 // Launch API

@@ -15,16 +15,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/ExecutionEngine.h"
+#include "corpus/Benchmarks.h"
 #include "device/DeviceConfig.h"
 #include "exec/ExecBackend.h"
 #include "oracle/Campaign.h"
 #include "oracle/Reducer.h"
 #include "support/Rng.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 using namespace clfuzz;
 
@@ -45,6 +48,18 @@ CampaignSettings smallCampaign(unsigned Threads) {
   S.BaseGen.MinThreads = 48;
   S.BaseGen.MaxThreads = 128;
   return S;
+}
+
+/// Field-by-field equality of two outcomes, with a message per field.
+void expectSameOutcome(const RunOutcome &Got, const RunOutcome &Want,
+                       const std::string &Ctx) {
+  EXPECT_EQ(Got.Status, Want.Status) << Ctx;
+  EXPECT_EQ(Got.Message, Want.Message) << Ctx;
+  EXPECT_EQ(Got.Steps, Want.Steps) << Ctx;
+  EXPECT_EQ(Got.RaceFound, Want.RaceFound) << Ctx;
+  EXPECT_EQ(Got.RaceMessage, Want.RaceMessage) << Ctx;
+  EXPECT_EQ(Got.OutputHash, Want.OutputHash) << Ctx;
+  EXPECT_EQ(Got.OutputHead, Want.OutputHead) << Ctx;
 }
 
 bool sameTables(const std::vector<ModeTable> &A,
@@ -294,6 +309,150 @@ TEST(ExecDeterminismTest, ReducerThreadCountInvariant) {
     EXPECT_EQ(Stats.CandidatesKept, SerialStats.CandidatesKept);
     EXPECT_EQ(Stats.FinalLines, SerialStats.FinalLines);
   }
+}
+
+TEST(LaunchMemoTest, ColumnMatchesPerCellJobsOnEveryConfiguration) {
+  // One column per kernel holds every configuration x {O0, O2} plus
+  // both reference cells, each under four settings variants (default,
+  // race detection, inverted dead array, another scheduler seed). The
+  // column shares launches through its memo; per-cell runExecJob
+  // shares nothing. Every outcome must match field by field.
+  std::vector<DeviceConfig> Registry = buildConfigRegistry();
+  // A small budget keeps the timeout-heavy configurations quick; the
+  // differing per-configuration budgets (SpeedFactor) stay in play.
+  RunSettings Base;
+  Base.BaseStepBudget = 1'000'000;
+  std::vector<RunSettings> Variants(4, Base);
+  Variants[1].DetectRaces = true;
+  Variants[2].InvertDead = true;
+  Variants[3].SchedulerSeed = 7;
+
+  // Generated kernels of every mode, plus the corpus benchmarks with
+  // the paper's planted data races, so race reports cross the memo.
+  std::vector<TestCase> Tests;
+  const GenMode Modes[] = {GenMode::Basic, GenMode::Vector,
+                           GenMode::Barrier, GenMode::AtomicSection,
+                           GenMode::AtomicReduction};
+  for (GenMode M : Modes) {
+    GenOptions GO;
+    GO.Mode = M;
+    GO.Seed = 5150 + static_cast<uint64_t>(M);
+    GO.MinThreads = 32;
+    GO.MaxThreads = 128;
+    GO.NumEmiBlocks = 2; // gives InvertDead something to flip
+    Tests.push_back(TestCase::fromGenerated(generateKernel(GO)));
+  }
+  for (const Benchmark &B : buildBenchmarkSuite())
+    if (B.HasPlantedRace)
+      Tests.push_back(B.Test);
+
+  size_t Seen[4] = {}; // per RunStatus, over every test
+  size_t Races = 0;
+  for (const TestCase &T : Tests) {
+    ExecColumn Col;
+    for (const RunSettings &S : Variants) {
+      for (bool Opt : {false, true})
+        Col.Jobs.push_back(ExecJob::onReference(T, Opt, S));
+      for (const DeviceConfig &C : Registry)
+        for (bool Opt : {false, true})
+          Col.Jobs.push_back(ExecJob::onConfig(T, C, Opt, S));
+    }
+
+    VmCounters Before = vmCounters();
+    std::vector<RunOutcome> Got = runExecColumn(Col);
+    VmCounters Mid = vmCounters();
+    std::vector<RunOutcome> Want;
+    for (const ExecJob &J : Col.Jobs)
+      Want.push_back(runExecJob(J));
+    VmCounters After = vmCounters();
+
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      expectSameOutcome(Got[I], Want[I],
+                        T.Name + " cell " + std::to_string(I));
+      ++Seen[static_cast<size_t>(Want[I].Status)];
+      Races += Want[I].RaceFound;
+    }
+    uint64_t Launched = Mid.Launches - Before.Launches;
+    uint64_t Served = Mid.SharedLaunches - Before.SharedLaunches;
+    EXPECT_LT(Launched, Col.Jobs.size()) << T.Name;
+    EXPECT_GT(Served, 0u) << T.Name;
+    // The per-cell path is the memo-free reference: it launches every
+    // cell that reaches the VM, which is every cell the column either
+    // launched or served.
+    EXPECT_EQ(After.SharedLaunches, Mid.SharedLaunches) << T.Name;
+    EXPECT_EQ(After.Launches - Mid.Launches, Launched + Served) << T.Name;
+  }
+  // The columns exercised every outcome class and the race detector.
+  for (size_t St = 0; St != 4; ++St)
+    EXPECT_GT(Seen[St], 0u) << runStatusName(static_cast<RunStatus>(St));
+  EXPECT_GT(Races, 0u);
+}
+
+TEST(LaunchMemoTest, StepBudgetEdgesWithinOneColumn) {
+  // A configuration with SpeedFactor 1, so a cell's step budget is
+  // exactly its BaseStepBudget.
+  DeviceConfig C = configById(buildConfigRegistry(), 1);
+  C.BugsO0.SpeedFactor = 1.0;
+  C.BugsO0.CrashLottery = 0.0;
+  C.BugsO0.BuildFailLottery = 0.0;
+
+  // The first kernel that finishes: S steps, no timeout.
+  TestCase T;
+  uint64_t S = 0;
+  for (uint64_t Seed = 777; S == 0 && Seed != 777 + 50; ++Seed) {
+    GenOptions GO;
+    GO.Seed = Seed;
+    GO.MinThreads = 32;
+    GO.MaxThreads = 64;
+    T = TestCase::fromGenerated(generateKernel(GO));
+    RunSettings Big;
+    Big.BaseStepBudget = 50'000'000;
+    RunOutcome O = runExecJob(ExecJob::onConfig(T, C, false, Big));
+    if (O.Status == RunStatus::Ok)
+      S = O.Steps;
+  }
+  ASSERT_GT(S, 1u) << "no generated kernel finished";
+
+  // Budgets in column order, and whether the memo serves each cell.
+  struct Cell {
+    uint64_t Budget;
+    bool Served;
+  };
+  const Cell Cells[] = {
+      {4 * S, false}, // launched: finishes in S steps
+      {S, true},      // a finished run of S steps holds at budget S
+      {S - 1, false}, // re-runs to Timeout, replacing the entry
+      {S + 5, false}, // a stored Timeout is never served upward
+      {S - 1, false}, // the stored finished run needs S > S - 1
+      {S - 1, true},  // equal budget: the stored Timeout holds
+  };
+  ExecColumn Col;
+  for (const Cell &Ce : Cells) {
+    RunSettings St;
+    St.BaseStepBudget = Ce.Budget;
+    Col.Jobs.push_back(ExecJob::onConfig(T, C, false, St));
+  }
+  VmCounters Before = vmCounters();
+  std::vector<RunOutcome> Got = runExecColumn(Col);
+  VmCounters After = vmCounters();
+
+  uint64_t WantServed = 0;
+  for (size_t I = 0; I != Col.Jobs.size(); ++I) {
+    expectSameOutcome(Got[I], runExecJob(Col.Jobs[I]),
+                      "budget cell " + std::to_string(I));
+    WantServed += Cells[I].Served;
+  }
+  EXPECT_EQ(Got[1].Status, RunStatus::Ok);
+  EXPECT_EQ(Got[1].Steps, S);
+  for (size_t I : {2u, 4u, 5u}) {
+    EXPECT_EQ(Got[I].Status, RunStatus::Timeout) << "cell " << I;
+    EXPECT_EQ(Got[I].Steps, Cells[I].Budget + 1) << "cell " << I;
+  }
+  EXPECT_EQ(Got[3].Status, RunStatus::Ok);
+  EXPECT_EQ(After.SharedLaunches - Before.SharedLaunches, WantServed);
+  EXPECT_EQ(After.Launches - Before.Launches,
+            Col.Jobs.size() - WantServed);
 }
 
 TEST(RngForkForJobTest, IndexedStreamsAreStableAndIndependent) {

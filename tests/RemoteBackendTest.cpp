@@ -33,6 +33,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -1221,6 +1222,52 @@ TEST(RemoteBackendTest, HugeCountsInAJobFrameAreRejectedBeforeAllocating) {
   expectSameOutcomes(InlineBackend().run(One),
                      makeRemoteBackend(remoteOpts({&W}))->run(One),
                      "after hostile frames");
+}
+
+TEST(RemoteBackendTest, HostileGeometryInAJobFrameIsRejectedBeforeRunning) {
+  // A well-formed frame whose test asks for a 65536x65536 work-group
+  // would have a worker allocate 2^32 thread contexts; zero or
+  // non-dividing sizes and an address-space byte past Constant are just
+  // as malformed. Each must fail decoding with std::runtime_error.
+  std::vector<TestCase> Tests = compileHeavyKernels(1, 91011);
+  auto Decode = [](const TestCase &T) {
+    ExecColumn Col;
+    Col.Jobs.push_back(ExecJob::onReference(T, false, RunSettings()));
+    wire::Frame F;
+    F.Type = wire::FrameType::Job;
+    F.Payload = wire::encodeJob(7, Col);
+    return wire::decodeJob(F);
+  };
+  ASSERT_NO_THROW(Decode(Tests[0])); // the unmodified test decodes
+
+  auto WithRange = [&](std::array<uint32_t, 3> Global,
+                       std::array<uint32_t, 3> Local) {
+    TestCase T = Tests[0];
+    for (int D = 0; D != 3; ++D) {
+      T.Range.Global[D] = Global[D];
+      T.Range.Local[D] = Local[D];
+    }
+    return T;
+  };
+  EXPECT_THROW(Decode(WithRange({65536, 65536, 1}, {65536, 65536, 1})),
+               std::runtime_error);
+  EXPECT_THROW(Decode(WithRange({64, 1, 1}, {0, 1, 1})),
+               std::runtime_error);
+  EXPECT_THROW(Decode(WithRange({0, 1, 1}, {1, 1, 1})),
+               std::runtime_error);
+  EXPECT_THROW(Decode(WithRange({64, 1, 1}, {48, 1, 1})),
+               std::runtime_error);
+  // The cap is on the product of the local sizes: exactly at it
+  // decodes, twice it split over two dimensions does not.
+  const auto Max = static_cast<uint32_t>(MaxDecodedWorkGroupSize);
+  EXPECT_NO_THROW(Decode(WithRange({Max, 1, 1}, {Max, 1, 1})));
+  EXPECT_THROW(Decode(WithRange({Max, 2, 1}, {Max, 2, 1})),
+               std::runtime_error);
+
+  ASSERT_FALSE(Tests[0].Buffers.empty());
+  TestCase BadSpace = Tests[0];
+  BadSpace.Buffers[0].Space = static_cast<AddressSpace>(4);
+  EXPECT_THROW(Decode(BadSpace), std::runtime_error);
 }
 
 //===----------------------------------------------------------------------===//
